@@ -20,23 +20,10 @@ Three PR 5 measurements, one JSON summary (``BENCH_pr5.json``):
   on the same machine in the same run; the < 3% regression budget
   guards the simulator core the replay path leans on.
 
-The PR 6 measurement rides the same harness under ``--paper-scale``
-(``BENCH_pr6.json``):
-
-* **paper-scale sweep** — the full-size GAUSS workload swept across
-  three reliability policies with the effect-capsule tier enabled
-  (``REPRO_EFFECT_CACHE=1``).  The cold sweep compiles schedules and
-  records one capsule per cell; the warm sweep replays each capsule in
-  O(1) kernel events.  Acceptance requires the warm sweep >= 10x the
-  identical ``--no-compile`` sweep with byte-identical
-  ``CompletionReport``s and metric snapshots, and the analytic-Ethernet
-  axis (``analytic_ethernet=False``) byte-identical as well.
-
 Run as a script for the JSON record, ``--check`` to enforce the
 acceptance thresholds (CI's bench-regression job does both)::
 
     PYTHONPATH=src python benchmarks/bench_compile.py --out BENCH_pr5.json --check
-    PYTHONPATH=src python benchmarks/bench_compile.py --paper-scale --out BENCH_pr6.json --check
 
 or under pytest for a smaller-sized smoke check.
 """
@@ -61,10 +48,6 @@ from bench_kernel import measure_kernels  # noqa: E402
 #: PR 5 acceptance thresholds, enforced by ``--check``.
 COMPILE_SPEEDUP_FLOOR = 3.0
 KERNEL_REGRESSION_BUDGET = 0.03
-
-#: PR 6 acceptance threshold (``--paper-scale --check``): warm
-#: effect-capsule sweep vs the identical interpreted sweep.
-PAPER_SWEEP_SPEEDUP_FLOOR = 10.0
 
 #: The multi-policy sweep.  The schedule key is reliability-blind (the
 #: policy changes how faults are *serviced*, never which references
@@ -206,107 +189,6 @@ def measure_paper_scale_ab(repeats: int = 3) -> dict:
 
 
 # --------------------------------------------------------------------------
-# PR 6 paper-scale sweep: effect capsules + analytic Ethernet, both A/B'd.
-# --------------------------------------------------------------------------
-
-def _paper_sweep(compile_on: bool, analytic=None) -> dict:
-    """One full-size GAUSS sweep; returns wall time and every report."""
-    import dataclasses
-
-    from repro.core.builder import build_cluster
-    from repro.workloads import Gauss
-
-    reports = {}
-    snapshots = {}
-    start = perf_counter()
-    for policy in SWEEP_POLICIES:
-        cluster = build_cluster(
-            policy=policy, n_servers=4, overflow_fraction=0.10,
-            compile_schedules=compile_on, analytic_ethernet=analytic,
-        )
-        reports[policy] = dataclasses.asdict(cluster.run(Gauss()))
-        snapshots[policy] = cluster.metrics.snapshot()
-    wall = perf_counter() - start
-    return {"wall": wall, "reports": reports, "snapshots": snapshots}
-
-
-def measure_paper_sweep(repeats: int = 3) -> dict:
-    """Warm capsule-replay sweep vs the interpreted sweep, plus the
-    analytic-Ethernet A/B, all byte-compared."""
-    saved = {
-        name: os.environ.get(name)
-        for name in ("REPRO_CACHE_DIR", "REPRO_EFFECT_CACHE")
-    }
-    with tempfile.TemporaryDirectory(prefix="bench-paper-") as cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-        os.environ["REPRO_EFFECT_CACHE"] = "1"
-        try:
-            # Cold: compiles each cell's schedule and records its effect
-            # capsule.  Warm: every cell replays its capsule in O(1)
-            # kernel events.
-            cold = _paper_sweep(True)
-            warm_runs = [_paper_sweep(True) for _ in range(repeats)]
-            interpreted_runs = [_paper_sweep(False) for _ in range(repeats)]
-            # The two remaining axes, once each (identity, not timing):
-            # frame-level Ethernet under both execution modes.
-            frame_interp = _paper_sweep(False, analytic=False)
-            frame_warm = _paper_sweep(True, analytic=False)
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-
-    interpreted = interpreted_runs[0]
-    warm = warm_runs[0]
-    identical_reports = all(
-        run["reports"] == interpreted["reports"]
-        for run in [cold, frame_interp, frame_warm] + warm_runs
-    )
-    identical_metrics = all(
-        run["snapshots"] == interpreted["snapshots"]
-        for run in [cold, frame_interp, frame_warm] + warm_runs
-    )
-    warm_wall = min(run["wall"] for run in warm_runs)
-    interp_wall = min(run["wall"] for run in interpreted_runs)
-    sample = interpreted["reports"][SWEEP_POLICIES[0]]
-    return {
-        "app": "gauss",
-        "policies": list(SWEEP_POLICIES),
-        "faults": sample["faults"],
-        "etime": {
-            name: round(r["etime"], 4)
-            for name, r in interpreted["reports"].items()
-        },
-        "cold_seconds": round(cold["wall"], 4),
-        "warm_seconds": round(warm_wall, 4),
-        "interpreted_seconds": round(interp_wall, 4),
-        "frame_level_interpreted_seconds": round(frame_interp["wall"], 4),
-        "identical_reports": identical_reports,
-        "identical_metrics": identical_metrics,
-        "cold_speedup": round(interp_wall / cold["wall"], 2),
-        "speedup": round(interp_wall / warm_wall, 2),
-    }
-
-
-def check_paper_sweep(summary: dict) -> list:
-    """The PR 6 acceptance thresholds; returns a list of failures."""
-    failures = []
-    sweep = summary["paper_sweep"]
-    if sweep["speedup"] < PAPER_SWEEP_SPEEDUP_FLOOR:
-        failures.append(
-            f"paper-scale warm sweep {sweep['speedup']:.2f}x < "
-            f"{PAPER_SWEEP_SPEEDUP_FLOOR}x floor"
-        )
-    if not sweep["identical_reports"]:
-        failures.append("paper-scale sweep reports diverged across fast paths")
-    if not sweep["identical_metrics"]:
-        failures.append("paper-scale sweep metrics diverged across fast paths")
-    return failures
-
-
-# --------------------------------------------------------------------------
 # Assembly + threshold check.
 # --------------------------------------------------------------------------
 
@@ -361,14 +243,6 @@ def test_paper_scale_not_slower(benchmark, once):
     assert results["speedup"] >= 1.0
 
 
-def test_paper_sweep_capsules_fast_and_identical(benchmark, once):
-    results = once(benchmark, measure_paper_sweep, repeats=2)
-    print("\n" + json.dumps(results, indent=2))
-    assert results["identical_reports"]
-    assert results["identical_metrics"]
-    assert results["speedup"] >= PAPER_SWEEP_SPEEDUP_FLOOR
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=200_000,
@@ -377,20 +251,15 @@ def main(argv=None) -> int:
                         help="best-of repeats (default 3)")
     parser.add_argument("--refs", type=int, default=400_000,
                         help="reference-stream length for the compile A/B")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="run only the PR 6 paper-scale capsule sweep")
     parser.add_argument("--check", action="store_true",
                         help="enforce the acceptance thresholds")
     parser.add_argument("--out", default="-", metavar="PATH",
                         help="write JSON here ('-' = stdout)")
     args = parser.parse_args(argv)
 
-    if args.paper_scale:
-        summary = {"paper_sweep": measure_paper_sweep(repeats=args.repeats)}
-    else:
-        summary = run_benchmarks(
-            n_events=args.events, repeats=args.repeats, n_refs=args.refs,
-        )
+    summary = run_benchmarks(
+        n_events=args.events, repeats=args.repeats, n_refs=args.refs,
+    )
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out == "-":
         print(text)
@@ -400,15 +269,12 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}")
 
     if args.check:
-        failures = (
-            check_paper_sweep(summary) if args.paper_scale else check(summary)
-        )
+        failures = check(summary)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         if failures:
             return 1
-        which = "PR 6" if args.paper_scale else "PR 5"
-        print(f"all {which} benchmark thresholds met")
+        print("all PR 5 benchmark thresholds met")
     return 0
 
 

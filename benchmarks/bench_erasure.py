@@ -7,21 +7,12 @@ into the vectorized-datapath acceptance harness.  One JSON summary
 * **spectrum** — the PR 8 fault-free policy sweep, unchanged: ec-4-2
   must ship fewer page-equivalents than mirroring while tolerating two
   concurrent crashes.
-* **codec_ab** — three GF(256) engines timed back-to-back on the same
-  8 KB ec-4-2 stripes, all outputs byte-compared:
-
-  - *reference*: per-byte pure-python ``gf_mul`` loops — the honest
-    "pure python" baseline the 10x claim is measured against;
-  - *python*: the shipped fallback engine (per-scalar
-    ``bytes.translate`` tables — already C-backed inner loops);
-  - *numpy*: the packed-lane streaming kernel
-    (``encode_many``/``data_from_many``).
-
-  The gated ratio (``codec_ab.speedup``, enforced >= 10x here and by
-  ``trajectory.py --check``) is numpy-streaming vs the reference
-  engine.  The numpy-vs-translate ratio rides along ungated as
-  ``translate_ratio``: a single-core numpy gather moves ~1 byte/ns,
-  which bounds that win near 5x — see benchmarks/README.md.
+* **codec_ab** — the shipped numpy packed-lane streaming codec
+  (``encode_many``/``data_from_many``) timed against per-byte
+  pure-python ``gf_mul`` loops — the honest "pure python" baseline — on
+  the same 8 KB ec-4-2 stripes, outputs byte-compared.  The gated ratio
+  (``codec_ab.speedup``, enforced >= 10x here and by
+  ``trajectory.py --check``) is the codec over the reference.
 * **paper_scale** — ``repro spectrum --paper-scale`` (GAUSS on the
   32 MB Alpha, switched network, telemetry on): per-policy pagein
   latency percentiles plus ``latency_ratio`` = ec-4-2 mean pagein
@@ -59,10 +50,8 @@ from repro.core.policies.gf256 import (  # noqa: E402
     ReedSolomon,
     _encode_rows,
     _reconstruction_rows,
-    codec_backend,
     gf_mul,
     join_fragments,
-    set_codec_backend,
     split_page,
 )
 from repro.experiments.erasure import run_spectrum  # noqa: E402
@@ -81,7 +70,7 @@ LATENCY_RATIO_CEILING = 1.5
 
 
 # --------------------------------------------------------------------------
-# Codec A/B: reference (per-byte python) vs translate engine vs numpy.
+# Codec A/B: reference (per-byte python) vs the numpy codec.
 # --------------------------------------------------------------------------
 
 def _reference_combine(fragments, rows):
@@ -89,7 +78,7 @@ def _reference_combine(fragments, rows):
 
     Every byte goes through a python-level ``gf_mul`` call and a
     python-level XOR; this is what "pure python Reed-Solomon" means
-    before any table/translate/vector tricks.
+    before any table or vector tricks.
     """
     width = len(fragments[0])
     out = []
@@ -114,7 +103,7 @@ def _worst_case_survivors(k, m, data, parity):
 
 
 def measure_codec_ab(k: int = 4, m: int = 2, pages: int = 64) -> dict:
-    """Three engines, same stripes, byte-compared; microseconds/page each."""
+    """Codec vs reference, same stripes, byte-compared; microseconds/page."""
     rs = ReedSolomon(k, m)
     fragment_size = -(-PAGE // k)
     stripes = [
@@ -146,39 +135,17 @@ def measure_codec_ab(k: int = 4, m: int = 2, pages: int = 64) -> dict:
         ref_decoded.append([frags[i] for i in range(k)])
     ref_decode = perf_counter() - start
 
-    # Translate engine (the shipped no-numpy fallback), per page.
-    previous = set_codec_backend("python")
-    try:
-        rs.encode(stripes[0])  # warm per-scalar translate tables
-        rs.data_from(survivors[0])
-        start = perf_counter()
-        py_parities = [rs.encode(data) for data in stripes]
-        py_encode = perf_counter() - start
-        start = perf_counter()
-        py_decoded = [rs.data_from(avail) for avail in survivors]
-        py_decode = perf_counter() - start
-    finally:
-        set_codec_backend(previous)
+    # The shipped codec, whole batch per call.
+    rs.encode_many(stripes[:2])  # warm packed-lane tables + scratch
+    rs.data_from_many(survivors[:2])
+    start = perf_counter()
+    np_parities = rs.encode_many(stripes)
+    np_encode = perf_counter() - start
+    start = perf_counter()
+    np_decoded = rs.data_from_many(survivors)
+    np_decode = perf_counter() - start
 
-    # Numpy streaming kernel (when available), whole batch per call.
-    numpy_available = codec_backend() == "numpy"
-    if numpy_available:
-        rs.encode_many(stripes[:2])  # warm packed-lane tables + scratch
-        rs.data_from_many(survivors[:2])
-        start = perf_counter()
-        np_parities = rs.encode_many(stripes)
-        np_encode = perf_counter() - start
-        start = perf_counter()
-        np_decoded = rs.data_from_many(survivors)
-        np_decode = perf_counter() - start
-    else:  # REPRO_NO_NUMPY_GF / no numpy: the fallback *is* the fast engine
-        np_parities, np_decoded = py_parities, py_decoded
-        np_encode, np_decode = py_encode, py_decode
-
-    identical = (
-        ref_parities == py_parities == np_parities
-        and ref_decoded == py_decoded == np_decoded
-    )
+    identical = ref_parities == np_parities and ref_decoded == np_decoded
     for page_id, data in enumerate(np_decoded):
         assert join_fragments(data, PAGE) == page_bytes(page_id, 1, PAGE)
 
@@ -188,21 +155,14 @@ def measure_codec_ab(k: int = 4, m: int = 2, pages: int = 64) -> dict:
         "m": m,
         "pages": pages,
         "page_size": PAGE,
-        "backend": codec_backend(),
         "engines_byte_identical": identical,
         "reference_encode_us_per_page": us(ref_encode),
         "reference_decode_us_per_page": us(ref_decode),
-        "python_encode_us_per_page": us(py_encode),
-        "python_decode_us_per_page": us(py_decode),
         "numpy_encode_us_per_page": us(np_encode),
         "numpy_decode_us_per_page": us(np_decode),
-        # Gated (trajectory.py): fast engine vs the per-byte reference.
+        # Gated (trajectory.py): the codec vs the per-byte reference.
         "speedup": round(
             (ref_encode + ref_decode) / (np_encode + np_decode), 1
-        ),
-        # Ungated context: vectorized vs the C-backed translate fallback.
-        "translate_ratio": round(
-            (py_encode + py_decode) / (np_encode + np_decode), 2
         ),
     }
 
@@ -323,7 +283,7 @@ def check_record(record: dict) -> list:
     failures = check_spectrum(record["spectrum"])
     codec = record["codec_ab"]
     if not codec["engines_byte_identical"]:
-        failures.append("codec engines disagree byte-for-byte")
+        failures.append("codec disagrees with the per-byte reference")
     if codec["speedup"] < CODEC_SPEEDUP_FLOOR:
         failures.append(
             f"codec speedup vs per-byte reference = {codec['speedup']}x, "
@@ -410,8 +370,7 @@ def main(argv=None) -> int:
         codec = record["codec_ab"]
         print(
             "PR 9 acceptance holds: codec "
-            f"{codec['speedup']}x vs per-byte reference "
-            f"({codec['translate_ratio']}x vs translate fallback), "
+            f"{codec['speedup']}x vs per-byte reference, "
             f"ec-4-2 pagein latency "
             f"{record['paper_scale']['latency_ratio']}x mirroring, "
             "campaigns CLEAN, compiled == interpreted"

@@ -20,8 +20,6 @@ host, divided::
     content_ab.speedup      content fast path on vs off, same run
     compile_ab.speedup      warm compiled sweep vs the identical
                             interpreted sweep
-    paper_sweep.speedup     warm capsule sweep vs the identical
-                            interpreted sweep
 
 Host drift hits both sides of each ratio alike, so "dropped >10% vs
 best recorded" means the *code* got slower, not the machine.  Absolute
@@ -37,7 +35,9 @@ best *that record* ever posted.
 Some recorded ratios are deliberately ungated (``UNGATED``): wall-clock
 parallel scaling depends on runner core count, and the paper-scale
 compiled cell is documented as unthresholded (wire simulation, not
-per-reference work, dominates it — see benchmarks/README.md).
+per-reference work, dominates it — see benchmarks/README.md).  Others
+are retired (``RETIRED``): the tier they measured was deleted, so the
+committed history keeps them but nothing can post them again.
 
 Usage::
 
@@ -63,7 +63,12 @@ UNGATED = {
         "documented unthresholded: wire simulation dominates the cell"
     ),
     "compile_ab.cold_speedup": "includes one-off compile cost",
-    "paper_sweep.cold_speedup": "includes one-off capsule-record cost",
+}
+
+#: Metric paths whose tier was deleted, and why they stay in history.
+RETIRED = {
+    "paper_sweep.speedup": "tier deleted: effect capsules",
+    "paper_sweep.cold_speedup": "tier deleted: effect capsules",
 }
 
 #: Files folded into the trajectory, in PR order.
@@ -129,6 +134,7 @@ def build_trajectory(records, baseline=None):
         "schema": 1,
         "tolerance": TOLERANCE,
         "ungated": dict(UNGATED),
+        "retired": dict(RETIRED),
         "history": history,
         "best": best,
     }
@@ -146,7 +152,7 @@ def check(trajectory, records):
     for name in sorted(records):
         marks = best.get(name) or {}
         for path, value in extract_ratios(records[name]).items():
-            if path in UNGATED or path not in marks:
+            if path in UNGATED or path in RETIRED or path not in marks:
                 continue
             floor = marks[path] * (1.0 - TOLERANCE)
             if value < floor:
@@ -199,9 +205,12 @@ def main(argv=None):
     trajectory = build_trajectory(records, baseline=baseline)
     for name in sorted(trajectory["best"]):
         for path in sorted(trajectory["best"][name]):
-            tag = "        " if path in UNGATED else "[gated] "
+            if path in RETIRED:
+                tag = "[retired]"
+            else:
+                tag = "" if path in UNGATED else "[gated]"
             value = trajectory["best"][name][path]
-            print(f"{tag}{name:<22} {path:<28} best {value:>8.4g}")
+            print(f"{tag:<10}{name:<22} {path:<28} best {value:>8.4g}")
 
     if args.out:
         with open(args.out, "w") as handle:

@@ -452,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--donors", type=int, default=4, metavar="M",
         help="donor workstations hosting the per-client servers (default 4)")
     p.add_argument(
-        "--workload", choices=_APPS + ["sequential-scan", "zipf", "hot-cold"],
-        default="gauss", help="workload every client runs (default gauss)")
+        "--workload", choices=_APPS, default="gauss",
+        help="paper application every client runs at its default size "
+        "(default gauss)")
     p.add_argument(
         "--capacity", type=int, default=2048, metavar="PAGES",
         help="remote-memory grant per client per donor (default 2048)")
@@ -641,8 +642,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.no_analytic_switched:
         os.environ["REPRO_NO_ANALYTIC_SWITCHED"] = "1"
     if args.no_cache:
-        # "recompute every run" covers compiled fault schedules too
-        # (and the recorded effect capsules keyed off them).
+        # "recompute every run" covers compiled fault schedules too.
         os.environ["REPRO_SCHEDULE_CACHE"] = "0"
     profiler = None
     if args.profile:

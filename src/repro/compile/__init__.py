@@ -13,23 +13,11 @@ simulation-event sequence is literally unchanged (see DESIGN.md §12).
 
 from .schedule import SCHEDULE_FORMAT, FaultSchedule
 from .compiler import compile_trace
-from .effects import (
-    EFFECTS_FORMAT,
-    RunEffects,
-    capture_effects,
-    decompose_ptime,
-    effects_bypass_reason,
-    effects_cache_enabled,
-    effects_key,
-    restore_effects,
-    validate_effects,
-)
 from .plan import (
     ReplayPlan,
     compile_enabled,
     fleet_bypass_reason,
     plan_fleet,
-    plan_replay,
     plan_run,
     schedule_cache_enabled,
     set_compile_enabled,
@@ -37,21 +25,11 @@ from .plan import (
 
 __all__ = [
     "SCHEDULE_FORMAT",
-    "EFFECTS_FORMAT",
     "FaultSchedule",
-    "RunEffects",
     "ReplayPlan",
     "compile_trace",
-    "capture_effects",
-    "restore_effects",
-    "validate_effects",
-    "effects_bypass_reason",
-    "effects_cache_enabled",
-    "effects_key",
-    "decompose_ptime",
     "plan_fleet",
     "fleet_bypass_reason",
-    "plan_replay",
     "plan_run",
     "compile_enabled",
     "schedule_cache_enabled",

@@ -3,11 +3,8 @@
 :func:`plan_run` is the single integration point ``Cluster.run``
 consults before executing a workload: it decides whether the run may
 use the batch-replay fast path, fetches or compiles the fault
-schedule, decides whether a recorded *effect capsule* (see
-:mod:`repro.compile.effects`) can serve the whole run, and emits
-``compile.*`` trace events so every decision is visible in a
-``--trace`` recording.  :func:`plan_replay` is the schedule-only
-subset, kept for callers that dispatch replay themselves.
+schedule, and emits ``compile.*`` trace events so every decision is
+visible in a ``--trace`` recording.
 
 Compilation is on by default but **strictly conservative** — it engages
 only when the resident set is a pure function of the reference stream:
@@ -22,10 +19,7 @@ only when the resident set is a pure function of the reference stream:
 Anything that only acts *pager-side* — write-behind windows, chaos
 fault injection, RPC retries, background load — cannot change which
 references fault, so those runs stay compiled (and stay byte-identical;
-``tests/compile`` pins the chaos campaigns).  The effect capsule is
-stricter still (per-op fidelity matters there): every capsule decision
-is reported as ``compile.vectorized`` (capsule replay) or
-``compile.fallback`` (kernel replay, with the reason).
+``tests/compile`` pins the chaos campaigns).
 """
 
 from __future__ import annotations
@@ -33,22 +27,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Optional
+from typing import Optional
 
 from .compiler import compile_trace
-from .effects import (
-    RunEffects,
-    effects_bypass_reason,
-    effects_cache_enabled,
-    effects_key,
-    validate_effects,
-)
 from .schedule import FaultSchedule
 
 __all__ = [
     "ReplayPlan",
     "plan_run",
-    "plan_replay",
     "plan_fleet",
     "fleet_bypass_reason",
     "compile_enabled",
@@ -81,20 +67,11 @@ def schedule_cache_enabled() -> bool:
 
 @dataclass
 class ReplayPlan:
-    """How ``Cluster.run`` should execute one workload.
-
-    * ``schedule is None`` — interpreted execution.
-    * ``schedule`` set, ``effects is None``, no ``record_key`` — plain
-      per-fault kernel replay.
-    * ``effects`` set — replay the effect capsule (O(1) kernel events).
-    * ``record_key`` set — kernel replay, then record a capsule for the
-      next identical run.
-    """
+    """How ``Cluster.run`` should execute one workload: replay
+    ``schedule`` per fault, or interpret the reference stream when it
+    is None."""
 
     schedule: Optional[FaultSchedule] = None
-    effects: Optional[RunEffects] = None
-    record_cache: Any = None
-    record_key: Any = None
 
 
 def _bypass_reason(machine, pager, workload) -> Optional[str]:
@@ -142,9 +119,9 @@ def _freeze_key(key: dict) -> tuple:
 
 
 def _plan_machine_schedule(machine, pager, workload, shared=None):
-    """Schedule decision for one (machine, pager, workload) triple:
-    (schedule, key) — key is None when the workload has no identity
-    token.  Emits bypass/cache-hit/compiled.  ``shared`` is an optional
+    """Schedule decision for one (machine, pager, workload) triple: the
+    schedule to replay, or None to interpret.  Emits
+    bypass/cache-hit/compiled.  ``shared`` is an optional
     in-memory pool (see :func:`plan_fleet`): identical clients compile
     once and replay the same schedule object — safe because replay
     *copies* the captured policy state into each machine
@@ -157,15 +134,14 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
         enabled = compile_enabled()
     if not enabled:
         tracer.emit("compile", "bypass", reason="disabled")
-        return None, None
+        return None
 
     reason = _bypass_reason(machine, pager, workload)
     if reason is not None:
         tracer.emit("compile", "bypass", reason=reason)
-        return None, None
+        return None
 
     token = workload.schedule_token() if hasattr(workload, "schedule_token") else None
-    key: Any = None
     cache = None
     frozen = None
     if token is not None:
@@ -178,7 +154,7 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
                     "compile", "fleet-shared",
                     faults=schedule.n_faults, refs=schedule.n_refs,
                 )
-                return schedule, key
+                return schedule
         if schedule_cache_enabled():
             from ..runner.cache import ScheduleCache
 
@@ -191,7 +167,7 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
                 )
                 if frozen is not None:
                     shared[frozen] = schedule
-                return schedule, key
+                return schedule
 
     started = perf_counter()
     schedule = compile_trace(
@@ -214,12 +190,7 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
     )
     if frozen is not None:
         shared[frozen] = schedule
-    return schedule, key
-
-
-def _plan_schedule(cluster, workload):
-    """Single-cluster wrapper around :func:`_plan_machine_schedule`."""
-    return _plan_machine_schedule(cluster.machine, cluster.pager, workload)
+    return schedule
 
 
 def fleet_bypass_reason(clients, network=None) -> Optional[str]:
@@ -280,56 +251,12 @@ def plan_fleet(clients, network=None):
         return schedules
     shared: dict = {}
     for i, (machine, pager, workload) in enumerate(clients):
-        schedules[i], _ = _plan_machine_schedule(
-            machine, pager, workload, shared=shared
-        )
+        schedules[i] = _plan_machine_schedule(machine, pager, workload, shared=shared)
     return schedules
 
 
-def plan_replay(cluster, workload) -> Optional[FaultSchedule]:
-    """Schedule-only decision (the PR 5 interface, unchanged).
-
-    Returns a :class:`FaultSchedule` to replay, or None to execute the
-    reference stream interpretively.
-    """
-    schedule, _ = _plan_schedule(cluster, workload)
-    return schedule
-
-
 def plan_run(cluster, workload) -> ReplayPlan:
-    """Full decision for ``Cluster.run``: schedule plus effect capsule."""
-    schedule, key = _plan_schedule(cluster, workload)
-    if schedule is None:
-        return ReplayPlan()
-    tracer = cluster.machine.sim.tracer
-
-    if key is None:
-        reason: Optional[str] = "uncacheable-workload"
-    elif not schedule_cache_enabled():
-        reason = "cache-disabled"
-    elif not effects_cache_enabled():
-        reason = "effects-disabled"
-    else:
-        reason = effects_bypass_reason(cluster)
-    if reason is not None:
-        tracer.emit("compile", "fallback", reason=reason)
-        return ReplayPlan(schedule=schedule)
-
-    from ..runner.cache import EffectCache
-
-    ecache = EffectCache()
-    ekey = effects_key(cluster, key)
-    effects = ecache.get(ekey)
-    if effects is not None:
-        if not validate_effects(cluster, effects):
-            tracer.emit("compile", "fallback", reason="effects-mismatch")
-            return ReplayPlan(schedule=schedule)
-        tracer.emit(
-            "compile", "vectorized",
-            faults=schedule.n_faults, refs=schedule.n_refs,
-            **{f"ptime_{k}": v for k, v in
-               effects.meta.get("decomposition", {}).items()},
-        )
-        return ReplayPlan(schedule=schedule, effects=effects)
-    tracer.emit("compile", "fallback", reason="effects-cold")
-    return ReplayPlan(schedule=schedule, record_cache=ecache, record_key=ekey)
+    """The decision ``Cluster.run`` consults before executing a workload."""
+    return ReplayPlan(
+        schedule=_plan_machine_schedule(cluster.machine, cluster.pager, workload)
+    )

@@ -33,7 +33,9 @@ replayed machine is indistinguishable after the run too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
+
+import numpy as _np
 
 __all__ = ["FaultSchedule", "SCHEDULE_FORMAT"]
 
@@ -42,10 +44,6 @@ __all__ = ["FaultSchedule", "SCHEDULE_FORMAT"]
 #: stale entries silently miss (they are never deserialised).
 SCHEDULE_FORMAT = 2
 
-try:  # numpy backs the reductions; the replay path never requires it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 @dataclass
@@ -108,10 +106,8 @@ class FaultSchedule:
                 vi += nv
         return ops
 
-    def arrays(self) -> Optional[Dict[str, Any]]:
-        """Cached numpy views of the columns (None without numpy)."""
-        if _np is None:
-            return None
+    def arrays(self) -> Dict[str, Any]:
+        """Cached numpy views of the columns."""
         cached = self.__dict__.get("_arrays")
         if cached is None:
             cached = self.__dict__["_arrays"] = {
@@ -127,13 +123,8 @@ class FaultSchedule:
     def transfer_counts(self) -> Dict[str, int]:
         """Array-reduced transfer profile: pageins, pageouts, zero fills."""
         arrays = self.arrays()
-        if arrays is not None:
-            flags = arrays["fault_flags"]
-            pageins = int(((flags & 2) != 0).sum())
-            pageouts = int(arrays["victim_lens"].sum())
-        else:  # pragma: no cover - numpy ships with the toolchain
-            pageins = sum(1 for f in self.fault_flags if f & 2)
-            pageouts = len(self.victims)
+        pageins = int(((arrays["fault_flags"] & 2) != 0).sum())
+        pageouts = int(arrays["victim_lens"].sum())
         return {
             "pageins": pageins,
             "pageouts": pageouts,
@@ -144,10 +135,7 @@ class FaultSchedule:
     def total_cpu(self) -> float:
         """Array-reduced total user-CPU flush (diagnostic; the replay
         accumulates the same chunks sequentially for bit-exactness)."""
-        arrays = self.arrays()
-        if arrays is not None:
-            return float(arrays["chunk_cpu"].sum())
-        return sum(self.chunk_cpu)  # pragma: no cover
+        return float(self.arrays()["chunk_cpu"].sum())
 
     # ---------------------------------------------------------- serialise
     def to_json_dict(self) -> Dict[str, Any]:

@@ -92,15 +92,10 @@ class Cluster:
     #: injectors draw their dedicated ``faults.*`` streams from it so
     #: chaos never perturbs workload determinism.
     rngs: Optional[RngRegistry] = None
-    #: Process count right after assembly — the effect-capsule planner
-    #: compares it against ``sim.process_count`` to detect background
-    #: activity the capsule could not reproduce.
-    baseline_processes: Optional[int] = None
     #: The sim-clock telemetry sampler and its health monitor; both None
     #: unless the cluster was built with ``telemetry_interval > 0``.
     telemetry: Optional[TelemetrySampler] = None
     health: Optional[HealthMonitor] = None
-    _effects_replayed: bool = field(default=False, repr=False)
 
     def run(self, workload, name: Optional[str] = None):
         """Run ``workload`` to completion; returns its CompletionReport.
@@ -109,21 +104,10 @@ class Cluster:
         replacement policy, no speculative prefetching — see
         ``repro.compile.plan``), the reference stream is compiled to a
         fault schedule and replayed in O(faults); otherwise it executes
-        interpretively.  When, additionally, a recorded *effect capsule*
-        matches this exact cluster configuration (see
-        ``repro.compile.effects``), the whole run is replayed in O(1)
-        kernel events.  Every path produces bit-identical reports.
+        interpretively.  Both paths produce bit-identical reports.
         """
-        from ..compile import capture_effects, plan_run, restore_effects
+        from ..compile import plan_run
 
-        if self._effects_replayed:
-            # A capsule replay restores observable state only — the
-            # backing stores stay empty, so a second workload would
-            # fault on pages that were never really paged out.
-            raise ConfigurationError(
-                "this cluster already served a run from an effect capsule; "
-                "build a fresh cluster for another workload"
-            )
         run_name = name or workload.name
         if self.telemetry is not None:
             # The kernel Periodic retires when the heap drains; re-arm
@@ -134,24 +118,6 @@ class Cluster:
             return self._finish(
                 self.machine.run_to_completion(workload.trace(), name=run_name)
             )
-        if plan.effects is not None:
-            effects = plan.effects
-            self._effects_replayed = True
-            return self._finish(self.machine.run_effects_to_completion(
-                plan.schedule,
-                effects,
-                restore=lambda: restore_effects(self, effects),
-                name=run_name,
-            ))
-        if plan.record_key is not None:
-            fault_log: List[float] = []
-            report = self.machine.run_schedule_to_completion(
-                plan.schedule, name=run_name, fault_log=fault_log
-            )
-            plan.record_cache.put(
-                plan.record_key, capture_effects(self, fault_log)
-            )
-            return self._finish(report)
         return self._finish(
             self.machine.run_schedule_to_completion(plan.schedule, name=run_name)
         )
@@ -534,9 +500,6 @@ def build_cluster(
         server_hosts=server_hosts,
         metrics=metrics,
         rngs=rngs,
-        # Stamped after assembly: any process spawned beyond this count
-        # (background load, fault injectors) disqualifies capsule replay.
-        baseline_processes=sim.process_count,
         telemetry=telemetry,
         health=health,
     )

@@ -18,25 +18,14 @@ that's the only algebra the policies need:
 
 Both reduce to XOR-accumulating scalar-multiplied fragments.
 
-Two interchangeable byte-identical engines do that accumulation:
-
-* **python** — scalar multiplication of a whole fragment is a single
-  ``bytes.translate`` with a per-scalar 256-entry table (one C-level
-  pass per (fragment, scalar) pair, no per-byte python loop);
-* **numpy** — a packed-lane kernel: output rows are processed in pairs,
-  each input fragment viewed as little-endian uint16 byte pairs and
-  gathered once through a 64K-entry table whose uint32 values hold
-  ``c*a | c*b<<8`` for both rows' coefficients (two bytes × two rows
-  per gathered element), XOR-accumulated in the packed domain and
-  unpacked with strided views.  At 8 KB pages this is an order of
-  magnitude faster than the translate loop
-  (benchmarks/bench_erasure.py measures the exact ratio).
-
-The numpy engine is auto-selected at import when numpy is available;
-``REPRO_NO_NUMPY_GF=1`` forces the pure-python path (and the absence of
-numpy degrades silently to it).  Because GF arithmetic is exact, the two
-backends produce byte-identical fragments — the choice is invisible to
-every simulated result (tests/faults/test_codec_backends.py pins this).
+A packed-lane numpy kernel does that accumulation: output rows are
+processed in pairs, each input fragment viewed as
+little-endian uint16 byte pairs and gathered once through a 64K-entry
+table whose uint32 values hold ``c*a | c*b<<8`` for both rows'
+coefficients (two bytes × two rows per gathered element),
+XOR-accumulated in the packed domain and unpacked with strided views.
+tests/faults/test_codec_backends.py checks it against a per-byte
+:func:`gf_mul` reference.
 
 Coefficient rows are memoised at module level so every
 :class:`ReedSolomon` instance in the process shares them: encode
@@ -54,21 +43,22 @@ own call sequence, never on process-global cache state).
 
 from __future__ import annotations
 
-import os
+import sys
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...vm.page import xor_bytes
+import numpy as _np
+
+#: The packed-lane kernel relies on little-endian uint16/uint32 views.
+if sys.byteorder != "little":  # pragma: no cover
+    raise ImportError("the GF(256) codec needs a little-endian host")
 
 __all__ = [
     "ReedSolomon",
-    "codec_backend",
     "codec_stats",
     "gf_mul",
     "gf_inv",
     "prime_tables",
-    "scale_bytes",
-    "set_codec_backend",
     "split_page",
     "join_fragments",
 ]
@@ -104,53 +94,8 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-# --------------------------------------------------------------------------
-# Backend selection.
-# --------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except Exception:  # numpy genuinely absent: degrade silently
-    _np = None
-
-import sys as _sys
-
-#: The packed-lane kernel relies on little-endian uint16/uint32 views.
-if _np is not None and _sys.byteorder != "little":  # pragma: no cover
-    _np = None
-
-#: Active engine name; start from the environment, fall back gracefully.
-_BACKEND = "python" if (_np is None or os.environ.get("REPRO_NO_NUMPY_GF")) \
-    else "numpy"
-
-#: 256x256 GF(256) multiplication table for the numpy engine (lazy).
+#: 256x256 GF(256) multiplication table (lazy).
 _NP_MUL = None
-
-
-def codec_backend() -> str:
-    """The active codec engine: ``"numpy"`` or ``"python"``."""
-    return _BACKEND
-
-
-def set_codec_backend(name: Optional[str]) -> str:
-    """Select the codec engine; returns the previous one.
-
-    ``"numpy"`` / ``"python"`` force an engine (raising if numpy is
-    requested but unavailable); ``None`` restores the import-time
-    auto-selection.  Benchmark A/B hygiene only — outputs are
-    byte-identical either way.
-    """
-    global _BACKEND
-    previous = _BACKEND
-    if name is None:
-        name = "python" if (_np is None or os.environ.get("REPRO_NO_NUMPY_GF")) \
-            else "numpy"
-    if name not in ("numpy", "python"):
-        raise ValueError(f"unknown codec backend: {name!r}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    _BACKEND = name
-    return previous
 
 
 def _np_mul_table():
@@ -173,11 +118,8 @@ def prime_tables() -> None:
     worker pool: the 64 KB product table then lives in pages every
     worker shares copy-on-write (the tables are never written after
     construction), instead of each worker rebuilding it on first use.
-    A no-op on the pure-python engine, whose log/exp tables are built
-    at import.
     """
-    if _BACKEND == "numpy":
-        _np_mul_table()
+    _np_mul_table()
 
 
 #: (c1,) or (c1, c2) -> packed pair-multiply table, LRU-bounded.  Keyed
@@ -218,62 +160,6 @@ def _pair_table(col: tuple):
     return table
 
 
-#: scalar -> 256-byte translation table for whole-fragment multiply.
-_MUL_TABLES: Dict[int, bytes] = {}
-
-
-def _mul_table(c: int) -> bytes:
-    table = _MUL_TABLES.get(c)
-    if table is None:
-        table = bytes(gf_mul(c, v) for v in range(256))
-        _MUL_TABLES[c] = table
-    return table
-
-
-def scale_bytes(data: bytes, c: int) -> bytes:
-    """``c * data`` element-wise in GF(256) (one C-level pass)."""
-    if c == 0:
-        return bytes(len(data))
-    if c == 1:
-        return data
-    return data.translate(_mul_table(c))
-
-
-def _combine(
-    fragments: Sequence[bytes], coefficients: Sequence[int]
-) -> bytes:
-    """XOR-accumulate ``coefficients[i] * fragments[i]`` over GF(256)."""
-    out: Optional[bytes] = None
-    for fragment, c in zip(fragments, coefficients):
-        if c == 0:
-            continue
-        term = scale_bytes(fragment, c)
-        out = term if out is None else xor_bytes(out, term)
-    if out is None:
-        return bytes(len(fragments[0]))
-    return out
-
-
-def _combine_rows(
-    fragments: Sequence[bytes],
-    rows: Sequence[Sequence[int]],
-) -> List[bytes]:
-    """All row-combinations of ``fragments`` at once, backend-dispatched.
-
-    ``rows`` is an ``(n_out, n_in)`` coefficient matrix; the result is
-    ``n_out`` fragments, each the GF(256) XOR-accumulation of the inputs
-    scaled by its row.  The numpy engine processes output rows in packed
-    pairs — one 64K-entry gather per input fragment covers two bytes of
-    two output rows at a time; the python engine falls back to per-row
-    ``bytes.translate`` passes.  Outputs are byte-identical.
-    """
-    if not rows:
-        return []
-    if _BACKEND == "numpy" and fragments and len(fragments[0]):
-        return _combine_rows_numpy(fragments, rows)
-    return [_combine(fragments, row) for row in rows]
-
-
 #: Reusable gather scratch (acc/tmp per dtype), keyed by halfword count.
 #: Bounded: the process only ever sees a handful of fragment lengths.
 _SCRATCH: "OrderedDict[tuple, object]" = OrderedDict()
@@ -293,11 +179,21 @@ def _scratch(half: int, dtype) -> tuple:
     return bufs
 
 
-def _combine_rows_numpy(
+def _combine_rows(
     fragments: Sequence[bytes],
     rows: Sequence[Sequence[int]],
 ) -> List[bytes]:
+    """All row-combinations of ``fragments`` at once.
+
+    ``rows`` is an ``(n_out, n_in)`` coefficient matrix; the result is
+    ``n_out`` fragments, each the GF(256) XOR-accumulation of the inputs
+    scaled by its row.  Output rows are processed in packed pairs — one
+    64K-entry gather per input fragment covers two bytes of two output
+    rows at a time.
+    """
     length = len(fragments[0])
+    if length == 0:
+        return [b"" for _ in rows]
     buf = _np.frombuffer(b"".join(fragments), dtype=_np.uint8)
     if length % 2:
         frags = _np.zeros((len(fragments), length + 1), dtype=_np.uint8)
@@ -379,9 +275,8 @@ _STATS = {
 
 
 def codec_stats() -> dict:
-    """Process-wide codec state: active backend + coefficient caches."""
+    """Process-wide codec state: the coefficient caches."""
     return {
-        "backend": _BACKEND,
         "encode_matrices": _STATS["encode_matrices"],
         "recon_rows_cached": len(_RECON_ROWS),
         "recon_row_hits": _STATS["recon_row_hits"],
@@ -464,8 +359,8 @@ class ReedSolomon:
 
         ``pages`` is a sequence of per-page data-fragment lists (each of
         ``k`` equal-length fragments).  Equivalent to ``[encode(p) for p
-        in pages]`` byte-for-byte, but the numpy engine concatenates the
-        batch along the fragment axis so every gather covers the whole
+        in pages]`` byte-for-byte, but concatenates the batch along the
+        fragment axis so every gather covers the whole
         batch — the streaming entry point for bulk producers (rebuild
         sweeps, benchmarks, the future gateway striper).
         """
@@ -479,8 +374,6 @@ class ReedSolomon:
             )
         if {len(f) for page in pages for f in page} != {length}:
             raise ValueError("ragged fragment lengths in batch")
-        if _BACKEND != "numpy" or length == 0 or len(pages) == 1:
-            return [self.encode(page) for page in pages]
         big = [b"".join([page[i] for page in pages]) for i in range(self.k)]
         parity_rows = _combine_rows(big, self._encode_matrix)
         return [
@@ -502,8 +395,7 @@ class ReedSolomon:
             return []
         first = frozenset(availables[0])
         if (
-            _BACKEND != "numpy"
-            or len(availables) == 1
+            len(availables) == 1
             or any(frozenset(a) != first for a in availables[1:])
             or len(availables[0]) < self.k
         ):

@@ -171,10 +171,13 @@ class ParityLogging(ReliabilityPolicy):
         # First, finish any seal that previously failed (a parity-server
         # crash mid-seal leaves the group buffered and recoverable; once
         # the client has installed a replacement, the seal must land).
+        # Concurrent pipelined pageouts may retry the same group, so the
+        # one that finishes second finds it already removed.
         while self._pending_seals:
             group = self._pending_seals[0]
             yield from self._seal(group, span=span)  # on failure: stays pending
-            self._pending_seals.pop(0)
+            if group in self._pending_seals:
+                self._pending_seals.remove(group)
 
         previous = self._location.get(page_id)
         incarnation = self._incarnations.get(page_id, 0) + 1

@@ -66,14 +66,6 @@ class MetricsRegistry:
         """Every registered metric name, sorted."""
         return sorted(list(self._instruments) + list(self._gauges))
 
-    def instruments(self) -> Dict[str, Any]:
-        """The live instrument objects by name (no gauges).
-
-        The effect-capsule recorder (``repro.compile.effects``) uses this
-        to capture and restore instrument state wholesale.
-        """
-        return dict(self._instruments)
-
     def snapshot(self) -> Dict[str, Any]:
         """Flat, JSON-safe, deterministically ordered view of everything."""
         flat: Dict[str, Any] = {}

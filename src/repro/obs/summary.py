@@ -194,7 +194,7 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
         lines.append("")
         lines.append("compile fast path:")
         # One line per decision kind; fallbacks and bypasses break down
-        # by reason so a sweep that silently lost its capsule replays is
+        # by reason so a sweep that silently lost its compiled replays is
         # visible at a glance.
         by_kind: Dict[str, int] = {}
         reasons: Dict[str, Dict[str, int]] = {}

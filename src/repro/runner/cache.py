@@ -2,12 +2,12 @@
 
 Each result is stored as one JSON file named by the SHA-256 of the
 run's *fingerprint*: the spec's canonical identity, the package
-version, the effective codec backend, and a digest of the
-result-determining source trees (the simulation kernel, VM, network,
-disk, cluster, policies, workloads and configuration).  Editing any of
-those invalidates every entry automatically; editing experiment drivers, analysis, rendering or the
-CLI does not — re-running ``repro fig2`` after an unrelated change
-skips already-computed cells.
+version, and a digest of every package source that can shape a result
+— all of ``repro`` except the render-only modules in
+:data:`_RENDER_ONLY`.  Editing any digested file invalidates every
+entry automatically; editing analysis, rendering or the CLI does not —
+re-running ``repro fig2`` after an unrelated change skips
+already-computed cells.
 
 The store is human-inspectable: every file carries the spec it caches
 in ``describe()`` form next to the report fields.  Invalidate manually
@@ -30,7 +30,6 @@ from .spec import RunSpec
 __all__ = [
     "ResultCache",
     "ScheduleCache",
-    "EffectCache",
     "default_cache_dir",
     "fingerprint",
 ]
@@ -38,72 +37,44 @@ __all__ = [
 #: Bump when the on-disk entry layout changes.
 _FORMAT = 1
 
-#: Subpackages (and modules) whose source determines simulation results.
-#: experiments/, analysis/, cli.py and the runner itself are deliberately
-#: excluded: they orchestrate and render but do not change a cell's report.
-_RESULT_SOURCES = (
-    "sim",
-    "vm",
-    "net",
-    "disk",
-    "core",
-    "cluster",
-    "faults",
-    "workloads",
-    "config.py",
-    "units.py",
-    "errors.py",
-)
+#: Top-level package entries that only render or log: the one part of
+#: the source tree left out of the digest.  Nothing that computes a
+#: cached cell calls into them (the modules importing ``analysis`` use it
+#: to render tables), so editing them can never change a cached cell.
+_RENDER_ONLY = frozenset({"analysis", "cli.py", "log.py", "__main__.py"})
 
 _code_digest: Optional[str] = None
 
 
+def _digest_tree(root: Path) -> str:
+    """Digest of every ``.py`` file under ``root`` outside
+    :data:`_RENDER_ONLY`, paths included."""
+    digest = hashlib.sha256()
+    for file in sorted(root.rglob("*.py")):
+        relative = file.relative_to(root)
+        if relative.parts[0] in _RENDER_ONLY:
+            continue
+        digest.update(relative.as_posix().encode())
+        digest.update(file.read_bytes())
+    return digest.hexdigest()
+
+
 def _source_digest() -> str:
-    """Digest of the result-determining package sources (cached)."""
+    """:func:`_digest_tree` of the installed package (cached)."""
     global _code_digest
     if _code_digest is None:
         import repro
 
-        root = Path(repro.__file__).parent
-        digest = hashlib.sha256()
-        for entry in _RESULT_SOURCES:
-            path = root / entry
-            files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-            for file in files:
-                digest.update(str(file.relative_to(root)).encode())
-                digest.update(file.read_bytes())
-        _code_digest = digest.hexdigest()
+        _code_digest = _digest_tree(Path(repro.__file__).parent)
     return _code_digest
 
 
-def _runtime_token() -> str:
-    """Runtime configuration that rides in every fingerprint.
-
-    The GF(256) engines are byte-identical by contract, but keying on
-    the *effective* backend means an engine regression can never poison
-    cells computed by the other engine — and A/B benchmark legs that
-    flip ``REPRO_NO_NUMPY_GF`` honestly recompute both sides.  Network
-    model and client count need no entry here: they travel inside
-    ``spec.overrides`` and are already part of ``spec.identity()``.
-    """
-    from ..core.policies.gf256 import codec_backend
-
-    return f"codec={codec_backend()}"
-
-
 def fingerprint(spec: RunSpec) -> str:
-    """Content address of one run: spec identity + version + sources
-    + runtime configuration (the effective codec backend)."""
+    """Content address of one run: spec identity + version + sources."""
     import repro
 
     payload = "\n".join(
-        (
-            str(_FORMAT),
-            repro.__version__,
-            _source_digest(),
-            _runtime_token(),
-            spec.identity(),
-        )
+        (str(_FORMAT), repro.__version__, _source_digest(), spec.identity())
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -294,80 +265,3 @@ class ScheduleCache:
                 removed += 1
         return removed
 
-
-class EffectCache:
-    """Content-addressed store of recorded run-effect capsules.
-
-    Keys combine the schedule key with the live cluster fingerprint
-    (see ``repro.compile.effects.effects_key``), the capsule and
-    schedule format versions, the package version, and the same source
-    digest the other caches use — editing any result-determining source
-    invalidates every capsule.  Lives under ``<cache>/effects/`` and
-    follows the same write-then-rename, fail-to-miss discipline.
-    """
-
-    def __init__(self, cache_dir: Optional[os.PathLike] = None):
-        base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.dir = base / "effects"
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: Dict[str, Any]) -> Path:
-        from ..compile.effects import EFFECTS_FORMAT
-        from ..compile.schedule import SCHEDULE_FORMAT
-
-        import repro
-
-        payload = json.dumps(
-            {
-                "format": EFFECTS_FORMAT,
-                "schedule_format": SCHEDULE_FORMAT,
-                "version": repro.__version__,
-                "sources": _source_digest(),
-                "key": key,
-            },
-            sort_keys=True,
-        )
-        return self.dir / f"{hashlib.sha256(payload.encode()).hexdigest()}.json"
-
-    def get(self, key: Dict[str, Any]):
-        """Load a cached capsule, or None on miss/corruption."""
-        from ..compile.effects import RunEffects
-
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                effects = RunEffects.from_json_dict(json.load(handle))
-        except (OSError, ValueError, TypeError, KeyError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return effects
-
-    def put(self, key: Dict[str, Any], effects) -> bool:
-        """Store one capsule; returns False on any failure."""
-        try:
-            payload = json.dumps(effects.to_json_dict())
-        except (TypeError, ValueError):
-            return False
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        return True
-
-    def clear(self) -> int:
-        """Delete every cached capsule; returns the number removed."""
-        removed = 0
-        if self.dir.is_dir():
-            for file in self.dir.glob("*.json"):
-                file.unlink(missing_ok=True)
-                removed += 1
-        return removed

@@ -579,10 +579,8 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
-        #: Processes ever started via :meth:`process`.  The effect-capsule
-        #: planner compares this against the cluster builder's baseline to
-        #: detect background activity (traffic generators, watchdogs,
-        #: chaos injectors) that per-fault replay could not reproduce.
+        #: Processes ever started via :meth:`process` (tests use it to
+        #: show which paths run without spawning a process per message).
         self.process_count = 0
         # Observability hook: components read ``sim.tracer`` to open
         # request spans and emit structured events.  The no-op default

@@ -11,23 +11,20 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Counter", "Tally", "TimeWeighted", "UtilizationTracker"]
+import numpy as _np
 
-try:  # numpy accelerates the percentile sort; everything else is exact O(1)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+__all__ = ["Counter", "Tally", "TimeWeighted", "UtilizationTracker"]
 
 
 def _sort_samples(samples: List[float]) -> List[float]:
-    """Sort for nearest-rank percentiles, numpy-backed when possible.
+    """Sort for nearest-rank percentiles, numpy-backed for float samples.
 
     Sorting is a pure reordering, so ``np.sort`` and ``sorted`` agree
     element-for-element; ``tolist()`` hands back native Python floats so
     nothing downstream ever sees a numpy scalar.  Falls back to
-    ``sorted`` for non-float payloads (or without numpy).
+    ``sorted`` for short or non-float payloads.
     """
-    if _np is not None and len(samples) > 32 and all(
+    if len(samples) > 32 and all(
         type(s) is float for s in samples
     ):
         return _np.sort(_np.asarray(samples, dtype=_np.float64)).tolist()

@@ -184,9 +184,7 @@ class Machine:
         """Convenience: run ``trace`` and drive the simulator to its end."""
         return self.sim.run_until_complete(self.run(trace, name))
 
-    def run_schedule(
-        self, schedule, name: str = "workload", fault_log: Optional[list] = None
-    ) -> Process:
+    def run_schedule(self, schedule, name: str = "workload") -> Process:
         """Start replaying a compiled fault schedule (see ``repro.compile``).
 
         The replay path issues *exactly* the simulation-event sequence of
@@ -199,7 +197,7 @@ class Machine:
         O(faults) instead of O(references).
         """
         return self.sim.process(
-            self._execute_schedule(schedule, name, fault_log), name=f"run:{name}"
+            self._execute_schedule(schedule, name), name=f"run:{name}"
         )
 
     def run_plan(self, workload, schedule=None, name: Optional[str] = None) -> Process:
@@ -219,31 +217,10 @@ class Machine:
         return self.run(workload.trace(), name=label)
 
     def run_schedule_to_completion(
-        self, schedule, name: str = "workload", fault_log: Optional[list] = None
+        self, schedule, name: str = "workload"
     ) -> CompletionReport:
         """Convenience: replay ``schedule`` and drive the simulator."""
-        return self.sim.run_until_complete(
-            self.run_schedule(schedule, name, fault_log)
-        )
-
-    def run_effects(self, schedule, effects, restore=None, name: str = "workload") -> Process:
-        """Replay a recorded effect capsule (see ``repro.compile.effects``):
-        one kernel event at the recorded final clock, plus a wholesale
-        state restore — observable results byte-identical to the kernel
-        replay that recorded it.  ``restore`` is called (if given) after
-        the machine-side restore to apply cluster-side instrument state."""
-        return self.sim.process(
-            self._execute_effects(schedule, effects, restore, name),
-            name=f"run:{name}",
-        )
-
-    def run_effects_to_completion(
-        self, schedule, effects, restore=None, name: str = "workload"
-    ) -> CompletionReport:
-        """Convenience: replay ``effects`` and drive the simulator."""
-        return self.sim.run_until_complete(
-            self.run_effects(schedule, effects, restore, name)
-        )
+        return self.sim.run_until_complete(self.run_schedule(schedule, name))
 
     @property
     def resident_count(self) -> int:
@@ -323,7 +300,7 @@ class Machine:
         yield from self._drain_tail()
         return self._report(name, start)
 
-    def _execute_schedule(self, schedule, name: str, fault_log: Optional[list] = None):
+    def _execute_schedule(self, schedule, name: str):
         spec = self.spec
         if spec.user_frames < 1:
             raise PagingError(f"machine {self.name!r} has no user frames")
@@ -373,48 +350,14 @@ class Machine:
             if s < n_faults:
                 flags = fault_flags[s]
                 nv = victim_lens[s]
-                before = sim.now
                 yield from self._service_fault_compiled(
                     fault_page[s], flags & 1, flags & 2, victims[vi:vi + nv]
                 )
                 vi += nv
-                if fault_log is not None:
-                    fault_log.append(sim.now - before)
 
         self._restore_schedule_state(schedule)
         yield from self._drain_tail()
         replay_span.end("ok", faults=schedule.n_faults, refs=schedule.n_refs)
-        return self._report(name, start)
-
-    def _execute_effects(self, schedule, effects, restore, name: str):
-        sim = self.sim
-        start = sim.now
-        # One triggered event at the recorded final clock stands in for
-        # the entire run's event sequence.
-        yield sim.at(effects.final_now)
-
-        # Replay every page-version bump (hit-span first-writes, then the
-        # fault's own write) so the versioner's final state matches the
-        # recorded run — order within the run is irrelevant to the final
-        # version counts, but segment order is kept for clarity.
-        bump = self.versioner.bump
-        bump_pages = schedule.bump_pages
-        fault_page = schedule.fault_page
-        fault_flags = schedule.fault_flags
-        n_faults = schedule.n_faults
-        bi = 0
-        for s, nb in enumerate(schedule.seg_bumps):
-            for page_id in bump_pages[bi:bi + nb]:
-                bump(page_id)
-            bi += nb
-            if s < n_faults and fault_flags[s] & 1:
-                bump(fault_page[s])
-
-        self._restore_schedule_state(schedule)
-        self._utime = effects.utime
-        self._systime = effects.systime
-        if restore is not None:
-            restore()
         return self._report(name, start)
 
     def _service_fault_compiled(self, page_id: int, is_write, needs_pagein, pageouts):

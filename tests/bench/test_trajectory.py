@@ -112,3 +112,12 @@ def test_committed_artifact_matches_regeneration(trajectory):
     records = trajectory.collect(bench_dir)
     rebuilt = trajectory.build_trajectory(records, baseline=committed)
     assert rebuilt == committed
+
+
+def test_retired_metrics_never_fail(trajectory):
+    name = "BENCH_pr6.json"
+    baseline = trajectory.build_trajectory({name: {"paper_sweep": {"speedup": 90.0}}})
+    records = {name: {"paper_sweep": {"speedup": 1.0}}}
+    built = trajectory.build_trajectory(records, baseline=baseline)
+    assert "paper_sweep.speedup" in built["retired"]
+    assert trajectory.check(built, records) == []

@@ -7,7 +7,7 @@ interpretively, announced by a ``compile.bypass`` trace event.
 
 import pytest
 
-from repro.compile import plan_replay, set_compile_enabled
+from repro.compile import plan_run, set_compile_enabled
 from repro.config import MachineSpec
 from repro.core.builder import build_cluster
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
@@ -98,17 +98,17 @@ def test_cluster_override_and_process_default(tracer):
 
     set_compile_enabled(False)
     try:
-        assert plan_replay(_cluster(), _workload()) is None
+        assert plan_run(_cluster(), _workload()).schedule is None
         # The per-machine override outranks the process default.
         forced = _cluster(compile_schedules=True)
-        assert plan_replay(forced, _workload()) is not None
+        assert plan_run(forced, _workload()).schedule is not None
     finally:
         set_compile_enabled(None)
 
 
 def test_no_compile_env_disables(tracer, monkeypatch):
     monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-    assert plan_replay(_cluster(), _workload()) is None
+    assert plan_run(_cluster(), _workload()).schedule is None
 
 
 def test_custom_policy_without_batch_api_bypasses(tracer):

@@ -112,6 +112,23 @@ def test_write_behind_window_byte_identical():
     _identical("parity-logging", _APPS["gauss"], pipeline_window=4)
 
 
+def test_traced_compiled_replay_byte_identical():
+    """A live tracer records per-fault spans during compiled replay
+    without changing a single report field or metric."""
+    from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
+
+    tracer = Tracer()
+    install_tracer(tracer)
+    try:
+        traced, metrics_t, _ = _run("mirroring", _APPS["gauss"])
+    finally:
+        uninstall_tracer()
+    interpreted, metrics_i, _ = _run("mirroring", _APPS["gauss"], compile_on=False)
+    assert traced == interpreted
+    assert metrics_t == metrics_i
+    assert [s.kind for s in tracer.spans if s.component == "compile"] == ["replay"]
+
+
 def test_chaos_campaign_clean_and_identical():
     """PR 3 chaos (crash + loss + rot) under compiled replay: identical
     reports, identical fault traces, and the same CLEAN verdicts."""

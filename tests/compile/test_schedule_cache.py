@@ -101,14 +101,7 @@ def test_second_run_hits_cache_and_is_identical():
         for r in tracer.events
         if r["component"] == "compile"
     ]
-    # The effect-capsule tier is opt-in (REPRO_EFFECT_CACHE=1), so each
-    # run also reports its fallback to per-fault kernel replay.
-    assert compile_events == [
-        ("compiled", None),
-        ("fallback", "effects-disabled"),
-        ("cache-hit", None),
-        ("fallback", "effects-disabled"),
-    ]
+    assert compile_events == [("compiled", None), ("cache-hit", None)]
 
 
 def test_recorded_workload_compiles_uncached(tmp_path):

@@ -86,3 +86,13 @@ def test_profile_subcommand(capsys):
 def test_ablate_choice_validation():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["ablate", "--which", "nonsense"])
+
+
+def test_fleet_offers_only_buildable_workloads():
+    from repro.runner.registry import make_workload
+
+    fleet = build_parser()._subparsers._group_actions[0].choices["fleet"]
+    (workload,) = [a for a in fleet._actions if a.dest == "workload"]
+    assert workload.choices
+    for choice in workload.choices:
+        assert make_workload(choice, {}).name

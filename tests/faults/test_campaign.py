@@ -61,6 +61,19 @@ def test_reliable_policy_survives_standard_campaign(policy):
     assert "crash" in kinds and "corrupt_burst" in kinds
 
 
+def test_parity_logging_pipelined_retries_pending_seal_once():
+    """At seed 37 two concurrent pipelined pageouts retry the same
+    pending parity seal; the second must find it gone, not crash."""
+    cluster = build_cluster(
+        policy="parity-logging",
+        **dict(BUILD, seed=37, pipeline_window=4, pipeline_prefetch=4),
+    )
+    ChaosController(cluster, FaultPlan.standard_campaign())
+    cluster.run(SequentialScan(n_pages=400, passes=3, write=True))
+    report = check_page_integrity(cluster)
+    assert report.clean, f"{report.verdict} lost={report.lost}"
+
+
 def test_no_reliability_is_lossy_under_standard_campaign():
     cluster, controller, error = run_campaign(
         "no-reliability", FaultPlan.standard_campaign()

@@ -1,12 +1,11 @@
-"""Codec backends & the concurrent fragment datapath (ISSUE 9).
+"""The GF(256) codec and the concurrent fragment datapath.
 
-Pins the PR 9 contract from DESIGN.md §15:
+Pins the contract from DESIGN.md §15:
 
-* **engine parity** (hypothesis): the numpy packed-lane kernel and the
-  pure-python translate engine produce byte-identical fragments on the
-  encode, reconstruct, and degraded-read paths, for arbitrary shapes,
-  lengths (odd/even/empty), and survivor subsets — both engines run in
-  CI (the ``REPRO_NO_NUMPY_GF=1`` leg covers a numpy-less host).
+* **codec oracle** (hypothesis): the numpy packed-lane kernel produces
+  the same fragments as a per-byte :func:`gf_mul` reference kept in this
+  file, on the encode, reconstruct, and degraded-read paths, for
+  arbitrary shapes, lengths (odd/even/empty), and survivor subsets.
 * **streaming parity**: ``encode_many``/``data_from_many`` match the
   per-page calls exactly, including the mixed-subset and ragged-batch
   fallbacks.
@@ -27,10 +26,9 @@ from repro.config import MachineSpec
 from repro.core import build_cluster
 from repro.core.policies.gf256 import (
     ReedSolomon,
-    codec_backend,
+    _lagrange_row,
     codec_stats,
-    join_fragments,
-    set_codec_backend,
+    gf_mul,
     split_page,
 )
 from repro.faults import check_page_integrity
@@ -49,28 +47,35 @@ SMALL = MachineSpec(
     page_size=8192,
 )
 
-_HAS_NUMPY = True
-try:
-    import numpy  # noqa: F401
-except Exception:  # pragma: no cover - the REPRO_NO_NUMPY_GF leg
-    _HAS_NUMPY = False
-
-
-def _both_backends(fn, *args, **kwargs):
-    """Run ``fn`` under each available engine; return {backend: result}."""
-    results = {}
-    for backend in ("python", "numpy") if _HAS_NUMPY else ("python",):
-        previous = set_codec_backend(backend)
-        try:
-            results[backend] = fn(*args, **kwargs)
-        finally:
-            set_codec_backend(previous)
-    return results
-
 
 # --------------------------------------------------------------------------
-# Engine parity (hypothesis).
+# Codec oracle (hypothesis).
 # --------------------------------------------------------------------------
+
+def _reference_combine(fragments, row):
+    """XOR of ``row[i] * fragments[i]``, one byte at a time."""
+    out = bytearray(len(fragments[0]))
+    for fragment, c in zip(fragments, row):
+        for j, byte in enumerate(fragment):
+            out[j] ^= gf_mul(c, byte)
+    return bytes(out)
+
+
+def _reference_encode(data, k, m):
+    return [
+        _reference_combine(data, _lagrange_row(range(k), k + j)) for j in range(m)
+    ]
+
+
+def _reference_data_from(available, k):
+    src = sorted(available, key=lambda i: (i >= k, i))[:k]
+    fragments = [available[i] for i in src]
+    return [
+        available[i] if i in available
+        else _reference_combine(fragments, _lagrange_row(src, i))
+        for i in range(k)
+    ]
+
 
 _SHAPES = st.sampled_from([(2, 1), (3, 2), (4, 2), (2, 2), (5, 3), (1, 1)])
 
@@ -82,7 +87,7 @@ _SHAPES = st.sampled_from([(2, 1), (3, 2), (4, 2), (2, 2), (5, 3), (1, 1)])
     subset_seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_backends_byte_identical(shape, contents, subset_seed):
-    """Encode + every sampled decode subset agree across engines."""
+    """Encode + every sampled decode subset match the per-byte reference."""
     import itertools
     import random
 
@@ -91,19 +96,24 @@ def test_backends_byte_identical(shape, contents, subset_seed):
     data = split_page(contents, k, fragment_size)  # zero-pads the tail
     rs = ReedSolomon(k, m)
 
-    parities = _both_backends(rs.encode, data)
-    first = next(iter(parities.values()))
-    assert all(p == first for p in parities.values())
+    parity = rs.encode(data)
+    assert parity == _reference_encode(data, k, m)
 
-    fragments = list(data) + list(first)
+    fragments = list(data) + list(parity)
     rng = random.Random(subset_seed)
     all_subsets = list(itertools.combinations(range(k + m), k))
     for subset in rng.sample(all_subsets, min(4, len(all_subsets))):
         available = {i: fragments[i] for i in subset}
-        decodes = _both_backends(rs.data_from, dict(available))
-        values = list(decodes.values())
-        assert all(v == values[0] for v in values)
-        assert b"".join(values[0]) == b"".join(data)
+        decoded = rs.data_from(dict(available))
+        assert decoded == _reference_data_from(available, k)
+        assert b"".join(decoded) == b"".join(data)
+
+
+def test_zero_length_fragments():
+    rs = ReedSolomon(3, 2)
+    assert rs.encode([b""] * 3) == [b"", b""]
+    assert rs.encode_many([[b""] * 3, [b""] * 3]) == [[b"", b""], [b"", b""]]
+    assert rs.data_from({0: b"", 3: b"", 4: b""}) == [b"", b"", b""]
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,7 +124,7 @@ def test_backends_byte_identical(shape, contents, subset_seed):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_streaming_matches_per_page(shape, pages, length, seed):
-    """encode_many / data_from_many == the per-page loops, both engines."""
+    """encode_many / data_from_many == the per-page loops."""
     import random
 
     k, m = shape
@@ -125,15 +135,8 @@ def test_streaming_matches_per_page(shape, pages, length, seed):
     ]
     rs = ReedSolomon(k, m)
 
-    def encode_both_ways():
-        batched = rs.encode_many(stripes)
-        singles = [rs.encode(data) for data in stripes]
-        return batched, singles
-
-    for batched, singles in _both_backends(encode_both_ways).values():
-        assert batched == singles
-
     parities = [rs.encode(data) for data in stripes]
+    assert rs.encode_many(stripes) == parities
     # One shared survivor subset (the batchable case) with m data lost.
     lost = rng.sample(range(k), min(m, k))
     survivors = [
@@ -142,14 +145,9 @@ def test_streaming_matches_per_page(shape, pages, length, seed):
         for stripe, parity in zip(stripes, parities)
     ]
 
-    def decode_both_ways():
-        batched = rs.data_from_many([dict(s) for s in survivors])
-        singles = [rs.data_from(dict(s)) for s in survivors]
-        return batched, singles
-
-    for batched, singles in _both_backends(decode_both_ways).values():
-        assert batched == singles
-        assert batched == [list(stripe) for stripe in stripes]
+    batched = rs.data_from_many([dict(s) for s in survivors])
+    assert batched == [rs.data_from(dict(s)) for s in survivors]
+    assert batched == [list(stripe) for stripe in stripes]
 
 
 def test_streaming_mixed_subsets_fall_back_per_page():
@@ -177,23 +175,8 @@ def test_encode_many_rejects_ragged_stripes():
 
 
 # --------------------------------------------------------------------------
-# Backend selection + coefficient caches.
+# Coefficient caches.
 # --------------------------------------------------------------------------
-
-def test_set_codec_backend_roundtrip_and_errors():
-    original = codec_backend()
-    try:
-        previous = set_codec_backend("python")
-        assert previous == original
-        assert codec_backend() == "python"
-        with pytest.raises(ValueError):
-            set_codec_backend("fortran")
-        assert codec_backend() == "python"  # failed select changes nothing
-        set_codec_backend(None)  # None restores the auto-selection
-        assert codec_backend() == original
-    finally:
-        set_codec_backend(None)
-
 
 def test_codec_stats_surface_row_caches():
     rs = ReedSolomon(4, 2)
@@ -204,7 +187,6 @@ def test_codec_stats_surface_row_caches():
     rs.data_from(dict(available))
     rs.data_from(dict(available))  # same subset: second hit is cached
     after = codec_stats()
-    assert after["backend"] == codec_backend()
     assert after["recon_rows_cached"] >= 1
     assert after["recon_row_hits"] > before["recon_row_hits"]
     assert after["encode_matrices"] >= 1

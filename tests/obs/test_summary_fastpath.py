@@ -1,10 +1,9 @@
 """trace-summary must digest runs from every execution tier.
 
-A traced run bypasses the capsule tier (replay cannot fake per-event
-spans) but still exercises the compiled batch-replay path; the
-vectorized/capsule decision trail is covered through the planner's
-``compile.*`` events.  Whatever tier served the run, ``summarize`` +
-``render_summary`` must produce a valid, non-empty report.
+A traced run exercises the compiled batch-replay path; the planner's
+decision trail reaches the summary as ``compile.*`` events.  Whatever
+tier served the run, ``summarize`` + ``render_summary`` must produce a
+valid, non-empty report.
 """
 
 import pytest
@@ -61,24 +60,6 @@ def test_summary_of_traced_compiled_run(tmp_path):
     assert summary.spans
 
 
-def test_summary_with_capsules_configured(tmp_path, monkeypatch):
-    # With the effect cache on, a traced run must fall back (replay
-    # cannot fake spans) — and the summary shows that decision.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_EFFECT_CACHE", "1")
-    records = _traced_run(tmp_path, runs=2)
-    summary = summarize(records)
-    text = render_summary(summary)
-    _assert_valid_nonempty(summary, text)
-    reasons = [
-        (event.get("attrs") or {}).get("reason")
-        for event in summary.compile_events
-        if event["event"] == "fallback"
-    ]
-    assert "tracing" in reasons
-    assert "fallback" in text
-
-
 def test_summary_of_telemetry_run_shows_bypass_and_health(tmp_path):
     # A Gauss big enough to spill (n=300 fits in the 1 MB of pageable
     # RAM and never touches the wire), thresholds floored so the tiny
@@ -106,25 +87,24 @@ def test_summary_of_telemetry_run_shows_bypass_and_health(tmp_path):
 
 
 def test_summary_of_vectorized_decision_trail():
-    # The vectorized/capsule tier cannot run under a live tracer, so its
-    # decision trail reaches trace-summary as planner events; a
-    # hand-assembled trace in that shape must summarize cleanly.
+    # A hand-assembled trace of planner events (a cached schedule, then
+    # two bypasses) summarizes with per-reason breakdowns.
     records = [
-        {"type": "header", "schema": 1, "events": 2, "spans": 0},
+        {"type": "header", "schema": 1, "events": 3, "spans": 0},
         {
             "type": "event", "ts": 0.0, "component": "compile",
             "event": "cache-hit", "attrs": {},
         },
+    ] + [
         {
             "type": "event", "ts": 0.0, "component": "compile",
-            "event": "vectorized",
-            "attrs": {"ptime_fault_wait": 1.0, "ptime_p50": 0.5, "ptime_p95": 0.9},
-        },
-    ]
+            "event": "bypass", "attrs": {"reason": "telemetry"},
+        }
+    ] * 2
     summary = summarize(records)
     text = render_summary(summary)
     assert [e["event"] for e in summary.compile_events] == [
-        "cache-hit", "vectorized",
+        "cache-hit", "bypass", "bypass",
     ]
-    assert "vectorized" in text
+    assert "bypass: 2  (telemetry=2)" in text
     assert "cache-hit" in text

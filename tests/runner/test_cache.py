@@ -77,3 +77,54 @@ def test_entries_are_human_inspectable(tmp_path):
     assert payload["spec"]["workload"] == "gauss"
     assert payload["spec"]["policy"] == "disk"
     assert payload["report"]["etime"] == result.report.etime
+
+
+def _package_copy(tmp_path):
+    import shutil
+    from pathlib import Path
+
+    import repro
+
+    root = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent, root,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return root
+
+
+def _edit_first_module(path):
+    target = path if path.is_file() else sorted(path.rglob("*.py"))[0]
+    original = target.read_bytes()
+    target.write_bytes(original + b"\n# edited\n")
+    return target, original
+
+
+def test_fingerprint_covers_every_result_shaping_subpackage(tmp_path):
+    from repro.runner.cache import _RENDER_ONLY, _digest_tree
+
+    root = _package_copy(tmp_path)
+    base = _digest_tree(root)
+    digested = [
+        entry for entry in sorted(root.iterdir())
+        if entry.name not in _RENDER_ONLY
+        and (entry.is_dir() or entry.suffix == ".py")
+    ]
+    assert {"compile", "pipeline", "obs", "runner", "experiments"} <= {
+        entry.name for entry in digested
+    }
+    for entry in digested:
+        target, original = _edit_first_module(entry)
+        assert _digest_tree(root) != base, entry.name
+        target.write_bytes(original)
+    assert _digest_tree(root) == base
+
+
+def test_fingerprint_ignores_render_only_modules(tmp_path):
+    from repro.runner.cache import _RENDER_ONLY, _digest_tree
+
+    root = _package_copy(tmp_path)
+    base = _digest_tree(root)
+    for name in sorted(_RENDER_ONLY):
+        _edit_first_module(root / name)
+    assert _digest_tree(root) == base

@@ -126,16 +126,3 @@ def test_network_model_and_client_count_key_disjointly():
     prints = [fingerprint(spec) for spec in [base] + variants]
     assert len(set(prints)) == len(prints)
 
-
-def test_codec_backend_is_part_of_the_fingerprint():
-    pytest.importorskip("numpy")
-    from repro.core.policies.gf256 import set_codec_backend
-
-    previous = set_codec_backend("numpy")
-    try:
-        with_numpy = fingerprint(SPEC)
-        set_codec_backend("python")
-        with_python = fingerprint(SPEC)
-    finally:
-        set_codec_backend(previous)
-    assert with_numpy != with_python
