@@ -51,8 +51,8 @@ FLEET_SPEEDUP_FLOOR = 5.0
 N_CLIENTS = 64
 N_DONORS = 8
 
-#: Reference-dense per-client workload (same shape as bench_compile):
-#: the hot set fits the 128 user frames, the cold tail faults steadily.
+#: Reference-dense per-client workload: the hot set fits the 128 user
+#: frames, the cold tail faults steadily.
 def _workload(n_refs: int) -> tuple:
     return (
         "hot-cold",
@@ -108,23 +108,11 @@ def measure_fleet_ab(
     n_clients: int = N_CLIENTS, n_refs: int = 150_000, repeats: int = 3
 ) -> dict:
     """Analytic+compiled fleet vs event-driven interpreted, all axes."""
-    previous = os.environ.get("REPRO_SCHEDULE_CACHE")
-    os.environ["REPRO_SCHEDULE_CACHE"] = "0"  # measure compile honestly
-    try:
-        fast_runs = [
-            _leg(True, True, n_clients, n_refs) for _ in range(repeats)
-        ]
-        slow_runs = [
-            _leg(False, False, n_clients, n_refs) for _ in range(repeats)
-        ]
-        # The two cross axes, once each (identity, not timing).
-        analytic_only = _leg(True, False, n_clients, n_refs)
-        compiled_only = _leg(False, True, n_clients, n_refs)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULE_CACHE", None)
-        else:
-            os.environ["REPRO_SCHEDULE_CACHE"] = previous
+    fast_runs = [_leg(True, True, n_clients, n_refs) for _ in range(repeats)]
+    slow_runs = [_leg(False, False, n_clients, n_refs) for _ in range(repeats)]
+    # The two cross axes, once each (identity, not timing).
+    analytic_only = _leg(True, False, n_clients, n_refs)
+    compiled_only = _leg(False, True, n_clients, n_refs)
 
     slow = slow_runs[0]["results"]
     others = [run["results"] for run in fast_runs] + [

@@ -1,6 +1,6 @@
-"""PR 4 pipelined-datapath benchmark: A/B against frozen baselines.
+"""PR 4 pipelined-datapath benchmark: same-run A/B measurements.
 
-Three measurements, one JSON summary (``BENCH_pr4.json``):
+Two measurements, one JSON summary (``BENCH_pr4.json``):
 
 * **content fast path A/B** — the content-mode hot loop (regenerate a
   page payload, compare it to its expected bytes, checksum it) with the
@@ -11,11 +11,6 @@ Three measurements, one JSON summary (``BENCH_pr4.json``):
   (window 1, literally the paper's datapath) vs pipelined (window 8):
   wall-clock, plus the modeled paging cost (measured protocol CPU +
   modeled wire time) whose delta is the experiment's headline.
-* **kernel guard** — the events/sec microbenchmark from
-  :mod:`bench_kernel`, A/B against the in-tree frozen seed and PR-1
-  kernels on the *same* machine in the *same* run — the < 3% regression
-  budget stays meaningful on any host, unlike comparing absolute rates
-  across machines.
 
 Run as a script for the JSON record, ``--check`` to enforce the PR 4
 acceptance thresholds (CI's bench-regression job does both)::
@@ -39,11 +34,8 @@ for _path in (_HERE, _SRC):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from bench_kernel import measure_kernels  # noqa: E402
-
-#: PR 4 acceptance thresholds, enforced by ``--check``.
+#: PR 4 acceptance threshold, enforced by ``--check``.
 CONTENT_SPEEDUP_FLOOR = 1.3
-KERNEL_REGRESSION_BUDGET = 0.03
 
 
 # --------------------------------------------------------------------------
@@ -155,11 +147,9 @@ def measure_pipeline_ab(window: int = 8) -> dict:
 # --------------------------------------------------------------------------
 
 def run_benchmarks(
-    n_events: int = 200_000, repeats: int = 3, window: int = 8,
-    content_passes: int = 12,
+    repeats: int = 3, window: int = 8, content_passes: int = 12,
 ) -> dict:
     return {
-        "kernel": measure_kernels(n_events, repeats),
         "content_ab": measure_content_ab(passes=content_passes, repeats=repeats),
         "pipeline_ab": measure_pipeline_ab(window=window),
     }
@@ -174,13 +164,6 @@ def check(summary: dict) -> list:
             f"content fast path {content['speedup']:.2f}x < "
             f"{CONTENT_SPEEDUP_FLOOR}x floor"
         )
-    for path_name, path in summary["kernel"].items():
-        overhead = path["tracer_overhead_vs_pr1"]
-        if overhead >= KERNEL_REGRESSION_BUDGET:
-            failures.append(
-                f"kernel {path_name}: {overhead:.2%} slower than the frozen "
-                f"PR-1 kernel (budget {KERNEL_REGRESSION_BUDGET:.0%})"
-            )
     ab = summary["pipeline_ab"]
     if ab["paging_cost_delta"] <= 0:
         failures.append(
@@ -209,8 +192,6 @@ def test_pipeline_ab_reduces_paging_cost(benchmark, once):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--events", type=int, default=200_000,
-                        help="kernel microbenchmark chain length")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of repeats (default 3)")
     parser.add_argument("--window", type=int, default=8,
@@ -224,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     summary = run_benchmarks(
-        n_events=args.events, repeats=args.repeats, window=args.window,
+        repeats=args.repeats, window=args.window,
         content_passes=args.content_passes,
     )
     text = json.dumps(summary, indent=2, sort_keys=True)

@@ -1,7 +1,7 @@
 """Merge per-PR benchmark records into one performance trajectory.
 
-Each optimisation PR commits a ``BENCH_pr*.json`` record (plus PR 1's
-``bench_kernel.json``).  This tool folds them — and any freshly
+Each optimisation PR commits a ``BENCH_pr*.json`` record.  This tool
+folds them — and any freshly
 regenerated copies — into a single ``BENCH_TRAJECTORY.json`` artifact
 and, with ``--check``, fails if a gated metric fell more than
 ``TOLERANCE`` below the best value ever recorded.
@@ -14,12 +14,11 @@ runners.  Every gated metric is therefore a *dimensionless same-run
 ratio* — two measurements taken back-to-back inside one process on one
 host, divided::
 
-    kernel.<path>.speedup   live kernel events/sec over the frozen seed
-                            kernel, interleaved rounds (an events/sec
-                            gate in ratio form)
     content_ab.speedup      content fast path on vs off, same run
-    compile_ab.speedup      warm compiled sweep vs the identical
-                            interpreted sweep
+    codec_ab.speedup        numpy GF(256) codec vs the per-byte
+                            pure-Python reference
+    fleet_ab.speedup        analytic + compiled fleet vs the identical
+                            event-driven interpreted fleet
 
 Host drift hits both sides of each ratio alike, so "dropped >10% vs
 best recorded" means the *code* got slower, not the machine.  Absolute
@@ -27,17 +26,12 @@ rates (``events_per_sec.*``) ride along in the artifact as history but
 are never enforced.
 
 Best-ever is tracked per ``(record, metric)``, not per metric alone:
-different records measure different code lineages (``bench_kernel.json``
-pairs the PR-1 kernel against the seed; ``BENCH_pr4.json`` pairs the
-later optimised kernel), so a regenerated record is gated against the
-best *that record* ever posted.
+different records measure different code lineages, so a regenerated
+record is gated against the best *that record* ever posted.
 
-Some recorded ratios are deliberately ungated (``UNGATED``): wall-clock
-parallel scaling depends on runner core count, and the paper-scale
-compiled cell is documented as unthresholded (wire simulation, not
-per-reference work, dominates it — see benchmarks/README.md).  Others
-are retired (``RETIRED``): the tier they measured was deleted, so the
-committed history keeps them but nothing can post them again.
+Some recorded ratios are retired (``RETIRED``): the tier or harness
+that measured them was deleted, so the committed history keeps them
+but nothing can post them again, and they are never enforced.
 
 Usage::
 
@@ -56,23 +50,38 @@ import sys
 #: Relative drop from the best recorded value that fails the gate.
 TOLERANCE = 0.10
 
-#: Metric paths that are recorded but never enforced, and why.
-UNGATED = {
-    "fig2_suite.speedup": "parallel scaling tracks runner core count",
-    "paper_scale_ab.speedup": (
-        "documented unthresholded: wire simulation dominates the cell"
-    ),
-    "compile_ab.cold_speedup": "includes one-off compile cost",
-}
-
-#: Metric paths whose tier was deleted, and why they stay in history.
+#: Metric paths whose tier or harness was deleted, and why they stay in
+#: history.
 RETIRED = {
     "paper_sweep.speedup": "tier deleted: effect capsules",
     "paper_sweep.cold_speedup": "tier deleted: effect capsules",
+    "kernel.relay_path.speedup": (
+        "frozen seed/PR-1 kernel copies deleted; perfbench gates "
+        "end-to-end time instead"
+    ),
+    "kernel.timeout_chain.speedup": (
+        "frozen seed/PR-1 kernel copies deleted; perfbench gates "
+        "end-to-end time instead"
+    ),
+    "fig2_suite.speedup": (
+        "harness deleted with the kernel benchmark; it measured parallel "
+        "scaling, which tracks runner core count"
+    ),
+    "compile_ab.speedup": (
+        "harness deleted: a warm on-disk schedule-cache sweep, and that "
+        "cache was deleted"
+    ),
+    "compile_ab.cold_speedup": (
+        "harness deleted with compile_ab; it included one-off compile cost"
+    ),
+    "paper_scale_ab.speedup": (
+        "harness deleted with compile_ab; it was documented as "
+        "unthresholded (wire simulation dominates the cell)"
+    ),
 }
 
 #: Files folded into the trajectory, in PR order.
-RECORD_GLOBS = ("bench_kernel.json", "BENCH_pr*.json")
+RECORD_GLOBS = ("BENCH_pr*.json",)
 
 
 def _flatten(record, prefix=""):
@@ -133,7 +142,6 @@ def build_trajectory(records, baseline=None):
     return {
         "schema": 1,
         "tolerance": TOLERANCE,
-        "ungated": dict(UNGATED),
         "retired": dict(RETIRED),
         "history": history,
         "best": best,
@@ -152,7 +160,7 @@ def check(trajectory, records):
     for name in sorted(records):
         marks = best.get(name) or {}
         for path, value in extract_ratios(records[name]).items():
-            if path in UNGATED or path in RETIRED or path not in marks:
+            if path in RETIRED or path not in marks:
                 continue
             floor = marks[path] * (1.0 - TOLERANCE)
             if value < floor:
@@ -205,10 +213,7 @@ def main(argv=None):
     trajectory = build_trajectory(records, baseline=baseline)
     for name in sorted(trajectory["best"]):
         for path in sorted(trajectory["best"][name]):
-            if path in RETIRED:
-                tag = "[retired]"
-            else:
-                tag = "" if path in UNGATED else "[gated]"
+            tag = "[retired]" if path in RETIRED else "[gated]"
             value = trajectory["best"][name][path]
             print(f"{tag:<10}{name:<22} {path:<28} best {value:>8.4g}")
 

@@ -297,24 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     group.add_argument(
-        "--no-compile", action="store_true",
-        help="disable the trace-compilation fast path: execute every "
-        "reference stream interpretively (A/B switch; results are "
-        "bit-identical either way)",
-    )
-    group.add_argument(
-        "--no-analytic-ethernet", action="store_true",
-        help="disable the uncontended-medium analytic Ethernet service "
-        "path: simulate every frame's CSMA/CD state machine (A/B "
-        "switch; results are bit-identical either way)",
-    )
-    group.add_argument(
-        "--no-analytic-switched", action="store_true",
-        help="disable the switched fabric's per-port-pair analytic "
-        "service path: simulate every uplink/hop/drain step (A/B "
-        "switch; results are bit-identical either way)",
-    )
-    group.add_argument(
         "--profile", default=None, metavar="PATH",
         help="profile the whole subcommand under cProfile and write a "
         "pstats dump to PATH (inspect with 'python -m pstats PATH')",
@@ -626,24 +608,11 @@ def _trace_paths(path: str) -> tuple:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    import os
-
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     if args.jobs < 0:
         parser.error(f"argument --jobs: must be >= 0, got {args.jobs}")
-    if args.no_compile:
-        # Environment, not a module flag: worker processes spawned by the
-        # parallel runner inherit it, so the A/B switch holds at any -j.
-        os.environ["REPRO_NO_COMPILE"] = "1"
-    if args.no_analytic_ethernet:
-        os.environ["REPRO_NO_ANALYTIC_ETH"] = "1"
-    if args.no_analytic_switched:
-        os.environ["REPRO_NO_ANALYTIC_SWITCHED"] = "1"
-    if args.no_cache:
-        # "recompute every run" covers compiled fault schedules too.
-        os.environ["REPRO_SCHEDULE_CACHE"] = "0"
     profiler = None
     if args.profile:
         import cProfile

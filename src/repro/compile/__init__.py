@@ -11,27 +11,15 @@ amounts and fault decisions the interpreted path would make, so the
 simulation-event sequence is literally unchanged (see DESIGN.md §12).
 """
 
-from .schedule import SCHEDULE_FORMAT, FaultSchedule
+from .schedule import FaultSchedule
 from .compiler import compile_trace
-from .plan import (
-    ReplayPlan,
-    compile_enabled,
-    fleet_bypass_reason,
-    plan_fleet,
-    plan_run,
-    schedule_cache_enabled,
-    set_compile_enabled,
-)
+from .plan import ReplayPlan, fleet_bypass_reason, plan_fleet, plan_run
 
 __all__ = [
-    "SCHEDULE_FORMAT",
     "FaultSchedule",
     "ReplayPlan",
     "compile_trace",
     "plan_fleet",
     "fleet_bypass_reason",
     "plan_run",
-    "compile_enabled",
-    "schedule_cache_enabled",
-    "set_compile_enabled",
 ]

@@ -1,13 +1,15 @@
-"""Eligibility, caching, and dispatch for compiled replay.
+"""Eligibility and dispatch for compiled replay.
 
 :func:`plan_run` is the single integration point ``Cluster.run``
 consults before executing a workload: it decides whether the run may
-use the batch-replay fast path, fetches or compiles the fault
-schedule, and emits ``compile.*`` trace events so every decision is
-visible in a ``--trace`` recording.
+use the batch-replay fast path, compiles the fault schedule, and emits
+``compile.*`` trace events so every decision is visible in a
+``--trace`` recording.
 
-Compilation is on by default but **strictly conservative** — it engages
-only when the resident set is a pure function of the reference stream:
+Compilation is on unless the machine was built with
+``compile_schedules=False``, and it is **strictly conservative** — it
+engages only when the resident set is a pure function of the reference
+stream:
 
 * the workload declares itself deterministic (every ``trace()`` call
   yields the same stream);
@@ -24,7 +26,6 @@ references fault, so those runs stay compiled (and stay byte-identical;
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
@@ -37,32 +38,7 @@ __all__ = [
     "plan_run",
     "plan_fleet",
     "fleet_bypass_reason",
-    "compile_enabled",
-    "set_compile_enabled",
-    "schedule_cache_enabled",
 ]
-
-_process_default: Optional[bool] = None
-
-
-def set_compile_enabled(enabled: Optional[bool]) -> None:
-    """Process-wide override: True/False force, None restores the default
-    (on unless ``REPRO_NO_COMPILE`` is set in the environment)."""
-    global _process_default
-    _process_default = enabled
-
-
-def compile_enabled() -> bool:
-    """The process-wide default for trace compilation."""
-    if _process_default is not None:
-        return _process_default
-    return not os.environ.get("REPRO_NO_COMPILE")
-
-
-def schedule_cache_enabled() -> bool:
-    """Whether compiled schedules may be cached on disk (the CLI's
-    ``--no-cache`` clears this via ``REPRO_SCHEDULE_CACHE=0``)."""
-    return os.environ.get("REPRO_SCHEDULE_CACHE", "1") != "0"
 
 
 @dataclass
@@ -114,14 +90,14 @@ def _schedule_key(machine, workload, token) -> dict:
 
 
 def _freeze_key(key: dict) -> tuple:
-    """A hashable token for in-memory schedule dedupe within one fleet."""
+    """A hashable token for schedule dedupe within one fleet."""
     return tuple(sorted((name, repr(value)) for name, value in key.items()))
 
 
 def _plan_machine_schedule(machine, pager, workload, shared=None):
     """Schedule decision for one (machine, pager, workload) triple: the
     schedule to replay, or None to interpret.  Emits
-    bypass/cache-hit/compiled.  ``shared`` is an optional
+    bypass/fleet-shared/compiled.  ``shared`` is an optional
     in-memory pool (see :func:`plan_fleet`): identical clients compile
     once and replay the same schedule object — safe because replay
     *copies* the captured policy state into each machine
@@ -129,10 +105,7 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
     schedule."""
     tracer = machine.sim.tracer
 
-    enabled = machine.compile_schedules
-    if enabled is None:
-        enabled = compile_enabled()
-    if not enabled:
+    if not machine.compile_schedules:
         tracer.emit("compile", "bypass", reason="disabled")
         return None
 
@@ -141,33 +114,19 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
         tracer.emit("compile", "bypass", reason=reason)
         return None
 
-    token = workload.schedule_token() if hasattr(workload, "schedule_token") else None
-    cache = None
+    token = None
+    if shared is not None and hasattr(workload, "schedule_token"):
+        token = workload.schedule_token()
     frozen = None
     if token is not None:
-        key = _schedule_key(machine, workload, token)
-        if shared is not None:
-            frozen = _freeze_key(key)
-            schedule = shared.get(frozen)
-            if schedule is not None:
-                tracer.emit(
-                    "compile", "fleet-shared",
-                    faults=schedule.n_faults, refs=schedule.n_refs,
-                )
-                return schedule
-        if schedule_cache_enabled():
-            from ..runner.cache import ScheduleCache
-
-            cache = ScheduleCache()
-            schedule = cache.get(key)
-            if schedule is not None:
-                tracer.emit(
-                    "compile", "cache-hit",
-                    faults=schedule.n_faults, refs=schedule.n_refs,
-                )
-                if frozen is not None:
-                    shared[frozen] = schedule
-                return schedule
+        frozen = _freeze_key(_schedule_key(machine, workload, token))
+        schedule = shared.get(frozen)
+        if schedule is not None:
+            tracer.emit(
+                "compile", "fleet-shared",
+                faults=schedule.n_faults, refs=schedule.n_refs,
+            )
+            return schedule
 
     started = perf_counter()
     schedule = compile_trace(
@@ -179,14 +138,10 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
         free_batch=machine.free_batch,
     )
     wall_ms = (perf_counter() - started) * 1e3
-    if cache is not None:
-        schedule.meta = dict(key)
-        cache.put(key, schedule)
     tracer.emit(
         "compile", "compiled",
         faults=schedule.n_faults, refs=schedule.n_refs,
         ops=schedule.n_ops, wall_ms=round(wall_ms, 3),
-        cached=cache is not None,
     )
     if frozen is not None:
         shared[frozen] = schedule

@@ -1,9 +1,9 @@
 """The fault-schedule artifact: a compiled reference stream.
 
-Format 2 stores the schedule **columnar**, one array per op field,
-instead of format 1's flat ``["c", ...]/["b", ...]/["f", ...]`` op
-list.  Execution order is segment-major: segment ``i`` (one per fault,
-plus a trailing tail segment) is
+The schedule is stored **columnar**, one list per op field, rather
+than as a flat ``["c", ...]/["b", ...]/["f", ...]`` op list.  Execution
+order is segment-major: segment ``i`` (one per fault, plus a trailing
+tail segment) is
 
 * ``seg_chunks[i]`` CPU-flush amounts taken in order from
   ``chunk_cpu`` — the *exact* ``pending_cpu`` values the interpreted
@@ -21,29 +21,19 @@ plus a trailing tail segment) is
   order.  Clean victims leave no trace at fault time (their page-table
   flags are part of ``final_ptes``).
 
-The columns are plain Python lists (JSON-trivial, and exactly what the
-replay hot loop wants — no numpy scalars can leak into simulator
-arithmetic); :meth:`arrays` materialises cached numpy views for the
-reductions (§4.3 transfer/CPU terms, validation).  ``policy_state``
-and ``final_ptes`` snapshot the replacement policy and every touched
-page-table entry as interpreted execution would leave them, so a
-replayed machine is indistinguishable after the run too.
+The columns are plain Python lists, exactly what the replay hot loop
+wants.  ``policy_state`` and ``final_ptes`` snapshot the replacement
+policy and every touched page-table entry as interpreted execution
+would leave them, so a replayed machine is indistinguishable after the
+run too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Any, List
 
-import numpy as _np
-
-__all__ = ["FaultSchedule", "SCHEDULE_FORMAT"]
-
-#: Bump when the op or artifact layout changes incompatibly.  The
-#: schedule cache hashes this into every entry path, so a bump makes
-#: stale entries silently miss (they are never deserialised).
-SCHEDULE_FORMAT = 2
-
+__all__ = ["FaultSchedule"]
 
 
 @dataclass
@@ -70,112 +60,12 @@ class FaultSchedule:
     n_faults: int
     policy_state: Any
     final_ptes: List[list]
-    #: Provenance: the cache key fields the schedule was compiled under.
-    meta: Dict[str, Any] = field(default_factory=dict)
 
-    # ------------------------------------------------------------ views
     @property
     def n_ops(self) -> int:
-        """Op count in the equivalent flat (format 1) encoding."""
+        """Op count in the equivalent flat op-list encoding."""
         return (
             len(self.chunk_cpu)
             + self.n_faults
             + sum(1 for n in self.seg_bumps if n)
-        )
-
-    @property
-    def ops(self) -> List[list]:
-        """Flat format-1 op list, reconstructed on demand (diagnostics)."""
-        ops: List[list] = []
-        ci = bi = vi = 0
-        n_faults = self.n_faults
-        for s, (nc, nb) in enumerate(zip(self.seg_chunks, self.seg_bumps)):
-            for j in range(ci, ci + nc):
-                ops.append(["c", self.chunk_cpu[j]])
-            ci += nc
-            if nb:
-                ops.append(["b", self.bump_pages[bi:bi + nb]])
-                bi += nb
-            if s < n_faults:
-                nv = self.victim_lens[s]
-                flags = self.fault_flags[s]
-                ops.append([
-                    "f", self.fault_page[s], flags & 1, (flags >> 1) & 1,
-                    self.victims[vi:vi + nv],
-                ])
-                vi += nv
-        return ops
-
-    def arrays(self) -> Dict[str, Any]:
-        """Cached numpy views of the columns."""
-        cached = self.__dict__.get("_arrays")
-        if cached is None:
-            cached = self.__dict__["_arrays"] = {
-                "chunk_cpu": _np.asarray(self.chunk_cpu, dtype=_np.float64),
-                "seg_chunks": _np.asarray(self.seg_chunks, dtype=_np.int64),
-                "seg_bumps": _np.asarray(self.seg_bumps, dtype=_np.int64),
-                "fault_page": _np.asarray(self.fault_page, dtype=_np.int64),
-                "fault_flags": _np.asarray(self.fault_flags, dtype=_np.uint8),
-                "victim_lens": _np.asarray(self.victim_lens, dtype=_np.int64),
-            }
-        return cached
-
-    def transfer_counts(self) -> Dict[str, int]:
-        """Array-reduced transfer profile: pageins, pageouts, zero fills."""
-        arrays = self.arrays()
-        pageins = int(((arrays["fault_flags"] & 2) != 0).sum())
-        pageouts = int(arrays["victim_lens"].sum())
-        return {
-            "pageins": pageins,
-            "pageouts": pageouts,
-            "zero_fills": self.n_faults - pageins,
-            "transfers": pageins + pageouts,
-        }
-
-    def total_cpu(self) -> float:
-        """Array-reduced total user-CPU flush (diagnostic; the replay
-        accumulates the same chunks sequentially for bit-exactness)."""
-        return float(self.arrays()["chunk_cpu"].sum())
-
-    # ---------------------------------------------------------- serialise
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (floats round-trip exactly via repr)."""
-        return {
-            "format": SCHEDULE_FORMAT,
-            "chunk_cpu": self.chunk_cpu,
-            "seg_chunks": self.seg_chunks,
-            "seg_bumps": self.seg_bumps,
-            "bump_pages": self.bump_pages,
-            "fault_page": self.fault_page,
-            "fault_flags": self.fault_flags,
-            "victim_lens": self.victim_lens,
-            "victims": self.victims,
-            "n_refs": self.n_refs,
-            "n_faults": self.n_faults,
-            "policy_state": self.policy_state,
-            "final_ptes": self.final_ptes,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        if data.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(
-                f"incompatible schedule format {data.get('format')!r} "
-                f"(expected {SCHEDULE_FORMAT})"
-            )
-        return cls(
-            chunk_cpu=data["chunk_cpu"],
-            seg_chunks=data["seg_chunks"],
-            seg_bumps=data["seg_bumps"],
-            bump_pages=data["bump_pages"],
-            fault_page=data["fault_page"],
-            fault_flags=data["fault_flags"],
-            victim_lens=data["victim_lens"],
-            victims=data["victims"],
-            n_refs=data["n_refs"],
-            n_faults=data["n_faults"],
-            policy_state=data["policy_state"],
-            final_ptes=data["final_ptes"],
-            meta=data.get("meta", {}),
         )

@@ -175,9 +175,9 @@ def build_cluster(
     pipeline_window: int = 1,
     pipeline_prefetch: int = 0,
     pipeline_backlog: int = 0,
-    compile_schedules: Optional[bool] = None,
-    analytic_ethernet: Optional[bool] = None,
-    analytic_switched: Optional[bool] = None,
+    compile_schedules: bool = True,
+    analytic_ethernet: bool = True,
+    analytic_switched: bool = True,
     telemetry_interval: float = 0.0,
     telemetry_capacity: int = 512,
     health_warn_load: float = 0.70,
@@ -209,18 +209,15 @@ def build_cluster(
     adaptive prefetcher); the defaults (1, 0, 0) keep the paper's
     synchronous datapath bit-identically.
 
-    ``compile_schedules`` forces the trace-compilation fast path on
-    (True) or off (False) for this cluster's machine; None follows the
-    process default (on, unless ``--no-compile``/``REPRO_NO_COMPILE``).
-
-    ``analytic_ethernet`` forces the uncontended-medium analytic service
-    path of the shared Ethernet on (True) or off (False); None follows
-    the process default (on, unless ``--no-analytic-ethernet`` /
-    ``REPRO_NO_ANALYTIC_ETH``).  Ignored for switched/token-ring
-    networks.  ``analytic_switched`` is the same switch for the
-    full-duplex switched fabric's per-port-pair fast path (process
-    default: on, unless ``--no-analytic-switched`` /
-    ``REPRO_NO_ANALYTIC_SWITCHED``); ignored for other networks.
+    The engine keywords pick the fast tiers, all on by default; results
+    are byte-identical either way, so False is an A/B switch.  They are
+    the only way to choose a tier: as ``RunSpec`` overrides they enter
+    the result-cache fingerprint.  ``compile_schedules`` enables trace
+    compilation for this cluster's machine.  ``analytic_ethernet``
+    enables the shared Ethernet's uncontended-medium analytic service
+    path (ignored for other networks); ``analytic_switched`` is the same
+    switch for the switched fabric's per-port-pair fast path (ignored
+    for other networks).
 
     ``telemetry_interval`` (simulated seconds) > 0 installs a
     :class:`~repro.obs.telemetry.TelemetrySampler` that records

@@ -95,8 +95,8 @@ def build_fleet(
     telemetry_capacity: int = 512,
     init_time: float = 0.21,
     stagger: float = _DEFAULT_STAGGER,
-    analytic: Optional[bool] = None,
-    compile_schedules: Optional[bool] = None,
+    analytic: bool = True,
+    compile_schedules: bool = True,
 ) -> Fleet:
     """Assemble the fleet testbed.
 
@@ -113,6 +113,10 @@ def build_fleet(
     a single ``pager.pagein`` histogram (the fleet's tail is a property
     of the cluster, not of one tenant).  Sampling pins interpreted
     execution exactly as it does for single-client clusters.
+
+    ``analytic`` enables the fabric's analytic fast path and
+    ``compile_schedules`` each client's trace compilation, as the
+    same-named :func:`~repro.core.builder.build_cluster` keywords do.
     """
     if n_clients < 1 or n_donors < 1:
         raise ValueError("need at least one client and one donor")
@@ -232,8 +236,8 @@ def run_fleet(
     machine_spec: MachineSpec = DEC_ALPHA_3000_300,
     telemetry_interval: float = 0.0,
     stagger: float = _DEFAULT_STAGGER,
-    analytic: Optional[bool] = None,
-    compile_schedules: Optional[bool] = None,
+    analytic: bool = True,
+    compile_schedules: bool = True,
 ) -> Dict[str, object]:
     """One fleet campaign: every client runs ``workload`` concurrently.
 

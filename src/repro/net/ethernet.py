@@ -35,14 +35,13 @@ shows up mid-hold, the hold is **devirtualized**: the exact frame-level
 state at that instant (idle-in-gap / contending / transmitting) is
 reconstructed from the precomputed boundaries and both senders continue
 under the ordinary CSMA/CD machinery, collisions and all.  Results are
-byte-identical to frame-level execution; ``--no-analytic-ethernet``
-(or ``REPRO_NO_ANALYTIC_ETH=1``) forces the frame-level walk for A/B
-checks, and chaos wrappers disable the fast path outright.
+byte-identical to frame-level execution; ``analytic=False`` (the
+builder's ``analytic_ethernet=False``) forces the frame-level walk for
+A/B checks, and chaos wrappers disable the fast path outright.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, List, Optional
 
@@ -133,10 +132,6 @@ class _FastHold:
         self.active = True
 
 
-def _analytic_default() -> bool:
-    return not os.environ.get("REPRO_NO_ANALYTIC_ETH")
-
-
 class EthernetCsmaCd(Network):
     """Single shared segment with CSMA/CD arbitration.
 
@@ -152,12 +147,12 @@ class EthernetCsmaCd(Network):
         sim: Simulator,
         spec: Optional[EthernetSpec] = None,
         rngs: Optional[RngRegistry] = None,
-        analytic: Optional[bool] = None,
+        analytic: bool = True,
     ):
         super().__init__(sim)
         self.spec = spec or EthernetSpec()
         self.rngs = rngs or RngRegistry(seed=0)
-        self.analytic = _analytic_default() if analytic is None else bool(analytic)
+        self.analytic = analytic
         self._state = _IDLE
         self._contenders: List[tuple] = []  # (station, frame_time, event)
         self._idle_waiters: List[Event] = []

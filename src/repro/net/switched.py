@@ -38,16 +38,15 @@ simulation, FIFO port queueing and all.
 
 Results are byte-identical to the per-event walk (``tests/net/
 test_analytic_switched.py`` sweeps arrival offsets across every
-boundary, including exact hits).  ``REPRO_NO_ANALYTIC_SWITCHED=1`` (or
-``--no-analytic-switched``, or ``analytic=False``) pins the per-event
-walk for A/B checks; chaos wrappers with nonzero fault rates clear the
-flag outright, exactly as they do for the analytic Ethernet.
+boundary, including exact hits).  ``analytic=False`` (the builder's
+``analytic_switched=False``) pins the per-event walk for A/B checks;
+chaos wrappers with nonzero fault rates clear the flag outright,
+exactly as they do for the analytic Ethernet.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SwitchedNetworkSpec
@@ -108,10 +107,6 @@ class _Hold:
         self.draining = False
 
 
-def _analytic_default() -> bool:
-    return not os.environ.get("REPRO_NO_ANALYTIC_SWITCHED")
-
-
 class SwitchedNetwork(Network):
     """Non-blocking switch with per-host full-duplex links.
 
@@ -124,11 +119,11 @@ class SwitchedNetwork(Network):
         self,
         sim: Simulator,
         spec: Optional[SwitchedNetworkSpec] = None,
-        analytic: Optional[bool] = None,
+        analytic: bool = True,
     ):
         super().__init__(sim)
         self.spec = spec or SwitchedNetworkSpec()
-        self.analytic = _analytic_default() if analytic is None else bool(analytic)
+        self.analytic = analytic
         #: Active holds by source host (uplink side) and destination
         #: host (downlink side).  A host appears in at most one of each.
         self._tx_holds: Dict[str, _Hold] = {}

@@ -60,9 +60,9 @@ class TraceSummary:
         self.spans: List[Dict[str, Any]] = []
         #: Fault-ish events (see _FAULT_COMPONENTS), in timestamp order.
         self.fault_events: List[Dict[str, Any]] = []
-        #: ``compile.*`` planner events (bypass/compiled/cache-hit/
-        #: fallback/vectorized), in order — which fast path served each
-        #: run, and why the faster tiers were skipped when they were.
+        #: ``compile.*`` planner events (bypass/compiled/fleet-shared),
+        #: in order — which tier served each run, and why compilation
+        #: was skipped when it was.
         self.compile_events: List[Dict[str, Any]] = []
         #: ``health.*`` saturation transitions (warn/critical/clear)
         #: from the telemetry health monitor, in timestamp order.

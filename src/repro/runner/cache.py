@@ -29,7 +29,6 @@ from .spec import RunSpec
 
 __all__ = [
     "ResultCache",
-    "ScheduleCache",
     "default_cache_dir",
     "fingerprint",
 ]
@@ -181,83 +180,6 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.dir.is_dir():
-            for file in self.dir.glob("*.json"):
-                file.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-
-class ScheduleCache:
-    """Content-addressed store of compiled fault schedules.
-
-    Keys are the schedule-determining inputs (workload identity token,
-    replacement policy, frame count, page size, CPU speed, chunking and
-    batch parameters — see ``repro.compile.plan``) combined with the
-    same source digest :class:`ResultCache` uses, so editing any
-    result-determining source invalidates cached schedules too.  Lives
-    under ``<cache>/schedules/`` next to the result cache and follows
-    the same write-then-rename discipline.
-    """
-
-    def __init__(self, cache_dir: Optional[os.PathLike] = None):
-        base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.dir = base / "schedules"
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: Dict[str, Any]) -> Path:
-        from ..compile.schedule import SCHEDULE_FORMAT
-
-        import repro
-
-        payload = json.dumps(
-            {
-                "format": SCHEDULE_FORMAT,
-                "version": repro.__version__,
-                "sources": _source_digest(),
-                "key": key,
-            },
-            sort_keys=True,
-        )
-        return self.dir / f"{hashlib.sha256(payload.encode()).hexdigest()}.json"
-
-    def get(self, key: Dict[str, Any]):
-        """Load a cached schedule, or None on miss/corruption."""
-        from ..compile.schedule import FaultSchedule
-
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                schedule = FaultSchedule.from_json_dict(json.load(handle))
-        except (OSError, ValueError, TypeError, KeyError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return schedule
-
-    def put(self, key: Dict[str, Any], schedule) -> bool:
-        """Store one schedule; returns False on any filesystem failure."""
-        try:
-            payload = json.dumps(schedule.to_json_dict())
-        except (TypeError, ValueError):
-            return False
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        return True
-
-    def clear(self) -> int:
-        """Delete every cached schedule; returns the number removed."""
         removed = 0
         if self.dir.is_dir():
             for file in self.dir.glob("*.json"):

@@ -119,9 +119,9 @@ class Machine:
         on a page whose prefetch is still in flight waits for it rather
         than fetching twice.
     compile_schedules:
-        Trace-compilation override (see ``repro.compile``): True forces
+        Trace compilation (see ``repro.compile``): True (default) takes
         the batch-replay path where eligible, False forces interpreted
-        execution, None (default) follows the process-wide setting.
+        execution.
     """
 
     def __init__(
@@ -136,7 +136,7 @@ class Machine:
         pageout_window: int = 16,
         free_batch: int = 16,
         prefetch: int = 0,
-        compile_schedules: Optional[bool] = None,
+        compile_schedules: bool = True,
         name: str = "client",
     ):
         if init_time < 0 or max_cpu_chunk <= 0:
@@ -159,9 +159,7 @@ class Machine:
         self.pageout_window = pageout_window
         self.free_batch = free_batch
         self.prefetch = prefetch
-        #: Tri-state trace-compilation override consulted by the compile
-        #: planner at Cluster.run time: True/False force, None defers to
-        #: the process-wide default (on unless REPRO_NO_COMPILE is set).
+        #: Consulted by the compile planner at Cluster.run time.
         self.compile_schedules = compile_schedules
         self._utime = 0.0
         self._systime = 0.0

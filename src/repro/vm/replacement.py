@@ -128,7 +128,7 @@ class LruReplacement(ReplacementPolicy):
     The stack is a plain ``dict`` (insertion-ordered since 3.7): the
     first key is the LRU page, a touch is ``pop`` + reinsert, and an
     eviction pops the first key — measurably cheaper on the VM's hot
-    loop than the former ``OrderedDict`` (``bench_kernel.py``).
+    loop than the former ``OrderedDict``.
     """
 
     __slots__ = ("_order",)

@@ -128,9 +128,10 @@ class Workload:
     deterministic = True
 
     #: Attribute names that, with the class name and page size, pin the
-    #: reference stream exactly — the workload part of a fault schedule's
-    #: cache key.  ``None`` means "not content-addressable": the schedule
-    #: is still compiled, just never cached across processes.
+    #: reference stream exactly — the workload part of the key under
+    #: which identical fleet clients share one compiled schedule.
+    #: ``None`` means "not content-addressable": each client compiles
+    #: its own schedule.
     _schedule_token_fields: Optional[Tuple[str, ...]] = None
 
     def __init__(self, page_size: int = PAGE_SIZE):
@@ -139,9 +140,9 @@ class Workload:
         self._materialized: Optional[Tuple[Ref, ...]] = None
 
     def schedule_token(self) -> Optional[Tuple]:
-        """Identity of the reference stream for schedule caching.
+        """Identity of the reference stream for schedule sharing.
 
-        Returns a JSON-serialisable tuple (class name, page size, the
+        Returns a tuple (class name, page size, the
         class's ``_schedule_token_fields`` values) or None when the
         stream has no stable content address.
         """

@@ -24,76 +24,65 @@ def trajectory():
 
 
 _RECORD = {
-    "compile_ab": {"speedup": 3.9, "cold_speedup": 1.8, "warm_seconds": 0.3},
-    "kernel": {"relay_path": {"speedup": 1.6, "events_per_sec": {"seed": 1e6}}},
+    "fleet_ab": {"speedup": 3.9, "cold_speedup": 1.8, "fast_seconds": 0.3},
+    "content_ab": {"speedup": 1.6, "accesses": 14400},
 }
 
 
 def test_extract_ratios_keeps_only_dimensionless_metrics(trajectory):
     assert trajectory.extract_ratios(_RECORD) == {
-        "compile_ab.speedup": 3.9,
-        "compile_ab.cold_speedup": 1.8,
-        "kernel.relay_path.speedup": 1.6,
+        "fleet_ab.speedup": 3.9,
+        "fleet_ab.cold_speedup": 1.8,
+        "content_ab.speedup": 1.6,
     }
 
 
 def test_build_trajectory_tracks_best_per_record(trajectory):
     built = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
-    assert built["best"]["BENCH_pr5.json"]["compile_ab.speedup"] == 3.9
+    assert built["best"]["BENCH_pr5.json"]["fleet_ab.speedup"] == 3.9
     assert built["tolerance"] == trajectory.TOLERANCE
     json.dumps(built)  # artifact must serialize
 
 
 def test_baseline_high_water_mark_survives_regeneration(trajectory):
     baseline = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
-    slower = {"compile_ab": {"speedup": 3.88}}  # within tolerance
+    slower = {"fleet_ab": {"speedup": 3.88}}  # within tolerance
     rebuilt = trajectory.build_trajectory(
         {"BENCH_pr5.json": slower}, baseline=baseline
     )
     # History reflects the fresh run; best keeps the old high-water mark.
-    assert rebuilt["history"]["BENCH_pr5.json"]["compile_ab.speedup"] == 3.88
-    assert rebuilt["best"]["BENCH_pr5.json"]["compile_ab.speedup"] == 3.9
+    assert rebuilt["history"]["BENCH_pr5.json"]["fleet_ab.speedup"] == 3.88
+    assert rebuilt["best"]["BENCH_pr5.json"]["fleet_ab.speedup"] == 3.9
 
 
 def test_check_fails_on_more_than_ten_percent_drop(trajectory):
     baseline = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
-    regressed = {"compile_ab": {"speedup": 3.5}}  # 3.9 * 0.9 = 3.51 floor
+    regressed = {"fleet_ab": {"speedup": 3.5}}  # 3.9 * 0.9 = 3.51 floor
     records = {"BENCH_pr5.json": regressed}
     built = trajectory.build_trajectory(records, baseline=baseline)
     failures = trajectory.check(built, records)
     assert len(failures) == 1
-    assert "compile_ab.speedup" in failures[0]
+    assert "fleet_ab.speedup" in failures[0]
     assert "3.9" in failures[0]
 
 
 def test_check_passes_within_tolerance_and_on_new_best(trajectory):
     baseline = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
     for speedup in (3.52, 3.9, 5.0):  # floor is 3.51
-        records = {"BENCH_pr5.json": {"compile_ab": {"speedup": speedup}}}
+        records = {"BENCH_pr5.json": {"fleet_ab": {"speedup": speedup}}}
         built = trajectory.build_trajectory(records, baseline=baseline)
         assert trajectory.check(built, records) == []
 
 
 def test_check_gates_per_record_not_per_metric(trajectory):
-    # The same metric name in two records measures two code lineages
-    # (the PR-1 kernel pair vs the later optimised pair): a lower value
-    # in one record must not be judged against the other's best.
+    # The same metric name in two records measures two code lineages:
+    # a lower value in one record must not be judged against the
+    # other's best.
     records = {
-        "bench_kernel.json": {"kernel": {"relay_path": {"speedup": 1.3}}},
-        "BENCH_pr4.json": {"kernel": {"relay_path": {"speedup": 1.6}}},
+        "BENCH_pr1.json": {"content_ab": {"speedup": 1.3}},
+        "BENCH_pr4.json": {"content_ab": {"speedup": 1.6}},
     }
     built = trajectory.build_trajectory(records)
-    assert trajectory.check(built, records) == []
-
-
-def test_ungated_metrics_never_fail(trajectory):
-    name = "bench_kernel.json"
-    baseline = trajectory.build_trajectory(
-        {name: {"fig2_suite": {"speedup": 1.8}}}
-    )
-    records = {name: {"fig2_suite": {"speedup": 1.0}}}  # 44% drop, ungated
-    built = trajectory.build_trajectory(records, baseline=baseline)
-    assert "fig2_suite.speedup" in trajectory.UNGATED
     assert trajectory.check(built, records) == []
 
 
@@ -120,4 +109,15 @@ def test_retired_metrics_never_fail(trajectory):
     records = {name: {"paper_sweep": {"speedup": 1.0}}}
     built = trajectory.build_trajectory(records, baseline=baseline)
     assert "paper_sweep.speedup" in built["retired"]
+    assert trajectory.check(built, records) == []
+
+
+def test_retired_harness_metrics_never_fail(trajectory):
+    # fig2_suite.speedup was recorded ungated; its harness is gone, so
+    # it is retired and a drop can never fail the gate.
+    name = "BENCH_pr1.json"
+    baseline = trajectory.build_trajectory({name: {"fig2_suite": {"speedup": 1.8}}})
+    records = {name: {"fig2_suite": {"speedup": 1.0}}}  # 44% drop, retired
+    built = trajectory.build_trajectory(records, baseline=baseline)
+    assert "fig2_suite.speedup" in built["retired"]
     assert trajectory.check(built, records) == []

@@ -5,9 +5,11 @@ machine-level read-ahead or the PR 4 adaptive prefetcher — must execute
 interpretively, announced by a ``compile.bypass`` trace event.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.compile import plan_run, set_compile_enabled
+from repro.compile import plan_run
 from repro.config import MachineSpec
 from repro.core.builder import build_cluster
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
@@ -19,11 +21,6 @@ _SMALL = MachineSpec(
     kernel_resident_bytes=1 * 1024 * 1024,
     page_size=8192,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_schedule_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
 
 
 @pytest.fixture()
@@ -92,23 +89,11 @@ def test_nondeterministic_workload_bypasses(tracer):
 
 
 def test_cluster_override_and_process_default(tracer):
-    cluster = _cluster(compile_schedules=False)
-    cluster.run(_workload())
+    """``compile_schedules=False`` is the one way to turn compilation
+    off; without it a cluster compiles."""
+    assert plan_run(_cluster(compile_schedules=False), _workload()).schedule is None
     assert ("bypass", {"reason": "disabled"}) in _compile_events(tracer)
-
-    set_compile_enabled(False)
-    try:
-        assert plan_run(_cluster(), _workload()).schedule is None
-        # The per-machine override outranks the process default.
-        forced = _cluster(compile_schedules=True)
-        assert plan_run(forced, _workload()).schedule is not None
-    finally:
-        set_compile_enabled(None)
-
-
-def test_no_compile_env_disables(tracer, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-    assert plan_run(_cluster(), _workload()).schedule is None
+    assert plan_run(_cluster(), _workload()).schedule is not None
 
 
 def test_custom_policy_without_batch_api_bypasses(tracer):
@@ -121,3 +106,22 @@ def test_custom_policy_without_batch_api_bypasses(tracer):
     cluster = _cluster(replacement=CustomPolicy())
     cluster.run(_workload())
     assert ("bypass", {"reason": "replacement:custom"}) in _compile_events(tracer)
+
+
+def test_recorded_workload_compiled_matches_interpreted(tracer, tmp_path):
+    """A recorded trace has no identity token, yet still compiles, and
+    its compiled report equals the interpreted one."""
+    from repro.workloads import Gauss
+    from repro.workloads.trace_io import RecordedWorkload, save_trace
+
+    path = tmp_path / "wl.trace"
+    save_trace(Gauss(n=300, passes=1), path)
+    workload = RecordedWorkload(path)
+    assert workload.schedule_token() is None
+
+    compiled = dataclasses.asdict(_cluster().run(workload))
+    interpreted = dataclasses.asdict(
+        _cluster(compile_schedules=False).run(workload)
+    )
+    assert compiled == interpreted
+    assert _compile_events(tracer)[0][0] == "compiled"

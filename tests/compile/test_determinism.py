@@ -4,9 +4,7 @@ The acceptance bar for the trace compiler: for every experiment x
 policy x application cell, `CompletionReport` — every field, every
 counter, the full metrics snapshot — must match the interpreted path
 *exactly* (float-for-float), and the chaos campaigns must stay CLEAN
-and identical.  The schedule cache is disabled here so every compiled
-run exercises the compiler itself; `test_schedule_cache.py` covers the
-cached path.
+and identical.
 """
 
 import dataclasses
@@ -40,11 +38,6 @@ _APPS = {
 }
 
 _POLICIES = ("disk", "no-reliability", "mirroring", "parity-logging", "write-through")
-
-
-@pytest.fixture(autouse=True)
-def _no_schedule_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
 
 
 def _run(policy, workload_factory, replacement="lru", compile_on=True, **overrides):

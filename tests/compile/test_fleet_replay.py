@@ -15,7 +15,7 @@ import pytest
 
 from repro.compile import fleet_bypass_reason, plan_fleet
 from repro.config import MachineSpec
-from repro.experiments.fleet import build_fleet, run_fleet
+from repro.experiments.fleet import build_fleet, render_fleet, run_fleet
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 from repro.runner.registry import make_workload
 
@@ -27,11 +27,6 @@ _SMALL = MachineSpec(
 )
 
 _WORKLOAD = ("sequential-scan", {"n_pages": 400, "passes": 3, "write": True})
-
-
-@pytest.fixture(autouse=True)
-def _no_schedule_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
 
 
 @pytest.fixture()
@@ -139,7 +134,7 @@ def test_telemetry_pins_fleet_interpreted():
     (reason=telemetry), and the scoreboard still matches the compiled
     run on every derived metric."""
     fast, fast_reports = _fleet_reports(True)
-    slow, slow_reports = _fleet_reports(None, telemetry_interval=1.0)
+    slow, slow_reports = _fleet_reports(True, telemetry_interval=1.0)
     assert slow["compiled_clients"] == 0
     assert "pagein_latency" in slow and slow["pagein_latency"]["count"] > 0
     assert fast_reports == slow_reports
@@ -152,3 +147,19 @@ def test_staggered_starts_are_part_of_both_paths():
     _, reports = _fleet_reports(True)
     inits = [r["inittime"] for r in reports]
     assert len(set(inits)) == len(inits)
+
+
+def test_fleet_analytic_fabric_matches_event_driven_at_high_contention():
+    """8 clients on 2 donors is the shape that once exposed boundary-tie
+    divergences between analytic port-pair holds and the event-driven
+    walk (two chains hitting one downlink boundary at the same instant):
+    the rendered scoreboard must not depend on the fabric tier."""
+
+    def render(analytic):
+        return render_fleet(
+            run_fleet(
+                n_clients=8, n_donors=2, telemetry_interval=2.0, analytic=analytic
+            )
+        )
+
+    assert render(True) == render(False)

@@ -1,12 +1,10 @@
-"""Columnar (format 2) schedules and vectorized replay equivalence.
+"""Columnar schedules and vectorized replay equivalence.
 
-Two layers of pinning for the PR 6 fast paths:
+Two layers of pinning for the compiled-replay fast path:
 
 * **structural** — the columnar artifact's invariants: segment counts
-  tie out against the concatenated columns, the flat format-1 op view
-  reconstructs consistently, the array reductions agree with the
-  per-op walk, and the cached numpy views never leak into
-  serialisation.
+  tie out against the concatenated columns, and the merged-chunk
+  segments the replay path reconciles actually occur.
 * **behavioural** — hypothesis drives randomized synthetic workloads
   through compiled replay (merged-chunk ``sim.at`` reconciliation) and
   interpreted execution across every reliability policy and every
@@ -16,11 +14,10 @@ Two layers of pinning for the PR 6 fast paths:
 
 import dataclasses
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import SCHEDULE_FORMAT, FaultSchedule, compile_trace
+from repro.compile import compile_trace
 from repro.config import MachineSpec
 from repro.core.builder import build_cluster
 from repro.vm.replacement import LruReplacement, make_replacement
@@ -61,47 +58,6 @@ def test_columnar_counts_tie_out():
     assert sum(schedule.victim_lens) == len(schedule.victims)
 
 
-def test_flat_op_view_reconstructs_consistently():
-    schedule = _compile_gauss()
-    ops = schedule.ops
-    assert schedule.n_ops == len(ops)
-    assert sum(1 for op in ops if op[0] == "f") == schedule.n_faults
-    assert sum(1 for op in ops if op[0] == "c") == len(schedule.chunk_cpu)
-    # The flat view preserves column order exactly.
-    assert [op[1] for op in ops if op[0] == "c"] == schedule.chunk_cpu
-    assert [op[1] for op in ops if op[0] == "f"] == schedule.fault_page
-    assert [page for op in ops if op[0] == "b" for page in op[1]] == (
-        schedule.bump_pages
-    )
-    assert [v for op in ops if op[0] == "f" for v in op[4]] == schedule.victims
-
-
-def test_array_reductions_agree_with_per_op_walk():
-    schedule = _compile_gauss()
-    counts = schedule.transfer_counts()
-    ops = schedule.ops
-    pageins = sum(1 for op in ops if op[0] == "f" and op[3])
-    pageouts = sum(len(op[4]) for op in ops if op[0] == "f")
-    assert counts["pageins"] == pageins
-    assert counts["pageouts"] == pageouts
-    assert counts["zero_fills"] == schedule.n_faults - pageins
-    assert counts["transfers"] == pageins + pageouts
-    assert schedule.total_cpu() == pytest.approx(sum(schedule.chunk_cpu))
-
-
-def test_array_views_cached_and_invisible_to_serialisation():
-    schedule = _compile_gauss()
-    arrays = schedule.arrays()
-    assert arrays is schedule.arrays()  # cached, not rebuilt
-    data = dataclasses.asdict(schedule)
-    assert "_arrays" not in data
-    json_dict = schedule.to_json_dict()
-    assert "_arrays" not in json_dict
-    assert json_dict["format"] == SCHEDULE_FORMAT
-    clone = FaultSchedule.from_json_dict(json_dict)
-    assert dataclasses.asdict(clone) == data
-
-
 def test_merged_chunk_segments_exist_at_paper_chunking():
     """The multi-chunk merged-``sim.at`` replay path must actually be
     exercised by the equivalence suite: under the default 0.25 s CPU
@@ -125,11 +81,7 @@ def _report(policy, replacement, workload, compile_on):
     return dataclasses.asdict(report), cluster.metrics.snapshot()
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=25, deadline=None)
 @given(
     policy=st.sampled_from(_POLICIES),
     replacement=st.sampled_from(_REPLACEMENTS),
@@ -139,12 +91,8 @@ def _report(policy, replacement, workload, compile_on):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_vectorized_replay_equals_event_kernel(
-    monkeypatch, tmp_path, policy, replacement, hot_pages, cold_pages,
-    hot_fraction, seed,
+    policy, replacement, hot_pages, cold_pages, hot_fraction, seed,
 ):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
-
     def workload():
         return HotCold(
             hot_pages=hot_pages, cold_pages=cold_pages, n_refs=1500,

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile import set_compile_enabled
 from repro.config import MachineSpec
 from repro.core import build_cluster
 from repro.core.policies import PlacementGroupManager, parse_ec_policy
@@ -260,18 +259,13 @@ def test_crash_group_logged_once_with_members():
 # --------------------------------------------------------------------------
 
 def test_compiled_and_interpreted_reports_identical():
-    def one_run():
-        cluster = build_ec("ec-4-2")
+    def one_run(compile_schedules):
+        cluster = build_ec("ec-4-2", compile_schedules=compile_schedules)
         report = cluster.run(SequentialScan(n_pages=300, passes=2, write=True))
         return report, cluster.metrics.snapshot()
 
-    try:
-        set_compile_enabled(True)
-        compiled_report, compiled_metrics = one_run()
-        set_compile_enabled(False)
-        interpreted_report, interpreted_metrics = one_run()
-    finally:
-        set_compile_enabled(None)
+    compiled_report, compiled_metrics = one_run(True)
+    interpreted_report, interpreted_metrics = one_run(False)
     assert compiled_report.etime == interpreted_report.etime
     assert compiled_report.faults == interpreted_report.faults
     assert compiled_metrics == interpreted_metrics
@@ -291,21 +285,16 @@ def test_compiled_identity_under_chaos(level):
         else _level_plan("heavy")
     )
 
-    def one_run():
-        cluster = build_ec("ec-4-2")
+    def one_run(compile_schedules):
+        cluster = build_ec("ec-4-2", compile_schedules=compile_schedules)
         ChaosController(cluster, plan)
         report = cluster.run(SequentialScan(n_pages=400, passes=3, write=True))
         integrity = check_page_integrity(cluster)
         assert integrity.clean, integrity.verdict
         return report, cluster.metrics.snapshot()
 
-    try:
-        set_compile_enabled(True)
-        compiled_report, compiled_metrics = one_run()
-        set_compile_enabled(False)
-        interpreted_report, interpreted_metrics = one_run()
-    finally:
-        set_compile_enabled(None)
+    compiled_report, compiled_metrics = one_run(True)
+    interpreted_report, interpreted_metrics = one_run(False)
     assert compiled_report.etime == interpreted_report.etime
     assert compiled_report.faults == interpreted_report.faults
     assert compiled_metrics == interpreted_metrics

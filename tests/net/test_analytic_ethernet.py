@@ -208,13 +208,6 @@ def test_back_to_back_holds_after_contention():
 
 # ------------------------------------------------------------------ gating
 
-def test_env_var_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_ANALYTIC_ETH", "1")
-    assert EthernetCsmaCd(Simulator()).analytic is False
-    monkeypatch.delenv("REPRO_NO_ANALYTIC_ETH")
-    assert EthernetCsmaCd(Simulator()).analytic is True
-
-
 def test_chaos_wrapper_pins_frame_level():
     """A fault-injecting decorator disables the fast path outright: the
     chaos digests pin frame-level event sequences."""

@@ -337,13 +337,6 @@ def test_partition_window_identical():
 
 # ------------------------------------------------------------------ gating
 
-def test_env_var_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_ANALYTIC_SWITCHED", "1")
-    assert SwitchedNetwork(Simulator()).analytic is False
-    monkeypatch.delenv("REPRO_NO_ANALYTIC_SWITCHED")
-    assert SwitchedNetwork(Simulator()).analytic is True
-
-
 def test_chaos_wrapper_pins_per_event():
     """A fault-injecting decorator disables the fast path outright,
     exactly as it does for the analytic Ethernet."""

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+from repro.cli import main
 from repro.runner import ResultCache, RunSpec, fingerprint
 from repro.runner.execute import execute_spec
 
@@ -28,6 +29,34 @@ def test_fingerprint_ignores_label_but_not_parameters():
     assert fingerprint(labelled) == fingerprint(SPEC)
     other = RunSpec.make("gauss", "disk", workload_kwargs={"n": 701})
     assert fingerprint(other) != fingerprint(SPEC)
+
+
+def test_engine_keyword_enters_the_fingerprint(tmp_path):
+    """A tier chosen by keyword is part of the run's identity: a cache
+    warmed with the default (fast) cell never serves the frame-level one."""
+    frame_level = RunSpec.make(
+        "gauss", "disk", workload_kwargs={"n": 700},
+        overrides={"analytic_ethernet": False},
+    )
+    assert fingerprint(frame_level) != fingerprint(SPEC)
+    cache = ResultCache(tmp_path)
+    result = execute_spec(SPEC)
+    assert cache.put(SPEC, result.report, result.extras)
+    assert cache.get(SPEC) is not None
+    assert cache.get(frame_level) is None
+
+
+def test_cli_writes_only_under_cache_dir(tmp_path, monkeypatch, capsys):
+    """``--cache-dir`` is the only place a cached CLI run writes to."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    xdg = tmp_path / "xdg"
+    xdg.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    cache_dir = tmp_path / "cache"
+    argv = ["fig2", "--apps", "mvec", "--policies", "no-reliability"]
+    assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
+    assert list(cache_dir.glob("*.json"))
+    assert list(xdg.iterdir()) == []
 
 
 def test_corrupt_entry_reads_as_miss(tmp_path):

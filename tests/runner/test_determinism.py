@@ -6,11 +6,12 @@ that produced it.  These tests sweep the FULL Figure 2 grid (every
 workload x policy cell) through the serial harness, a 4-worker pool,
 and a warm cache, and require exact report equality everywhere —
 completion times compared as floats with ``==``, never with a
-tolerance.
+tolerance.  The serial grid also carries the paper's Figure 2 claims.
 """
 
 import dataclasses
 
+from repro.analysis import FIG2_SECONDS, shape_check
 from repro.cli import main
 from repro.experiments import run_fig2
 from repro.experiments.fig2 import FIG2_POLICIES, WORKLOAD_FACTORIES
@@ -25,8 +26,32 @@ def _flatten(reports):
     }
 
 
+def _assert_fig2_paper_claims(reports):
+    """§4: remote memory beats the disk (GAUSS by nearly 2x), parity
+    logging stays close to no-reliability, and mirroring beats the disk
+    for every application except MVEC."""
+    etime = {
+        app: {policy: report.etime for policy, report in by_policy.items()}
+        for app, by_policy in reports.items()
+    }
+    for app, by_policy in etime.items():
+        check = shape_check(by_policy, FIG2_SECONDS[app])
+        assert check["order_matches"], f"{app}: policy ranking diverges from paper"
+    assert etime["gauss"]["disk"] / etime["gauss"]["no-reliability"] > 1.5
+    mirroring_loses = {
+        app for app, by_policy in etime.items()
+        if by_policy["mirroring"] > by_policy["disk"]
+    }
+    assert mirroring_loses == {"mvec"}
+    for app, by_policy in etime.items():
+        ratio = by_policy["parity-logging"] / by_policy["no-reliability"]
+        assert ratio < 1.35, f"{app}: parity logging too far from no-reliability"
+
+
 def test_full_fig2_grid_serial_parallel_and_cache_identical(tmp_path):
-    serial = _flatten(run_fig2())  # default runner: serial, uncached
+    serial_reports = run_fig2()  # default runner: serial, uncached
+    _assert_fig2_paper_claims(serial_reports)
+    serial = _flatten(serial_reports)
 
     parallel_runner = ExperimentRunner(jobs=4, use_cache=True, cache_dir=tmp_path)
     cold = _flatten(run_fig2(runner=parallel_runner))
