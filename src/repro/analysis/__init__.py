@@ -9,7 +9,6 @@ from .paper_data import (
     FIG3_INPUT_SIZES_MB,
     FIG5_SECONDS,
     LATENCY_MS,
-    SPEEDUP_CLAIMS,
 )
 from .report import comparison_table, format_table, shape_check
 
@@ -30,5 +29,4 @@ __all__ = [
     "FIG3_INPUT_SIZES_MB",
     "FFT_24MB_BREAKDOWN",
     "LATENCY_MS",
-    "SPEEDUP_CLAIMS",
 ]

@@ -12,7 +12,6 @@ __all__ = [
     "FIG3_INPUT_SIZES_MB",
     "FFT_24MB_BREAKDOWN",
     "LATENCY_MS",
-    "SPEEDUP_CLAIMS",
 ]
 
 #: Figure 2: completion time (seconds) per application and policy.
@@ -87,16 +86,4 @@ LATENCY_MS = {
     "protocol": 1.6,
     "wire": 9.64,
     "prior_work_4kb_pagein": 45.0,  # Schilit & Duchamp, for context
-}
-
-#: Headline relative claims used as reproduction targets.
-SPEEDUP_CLAIMS = {
-    # (application, faster_policy, slower_policy): fractional improvement
-    ("gauss", "no-reliability", "disk"): 0.96,
-    ("mvec", "no-reliability", "disk"): 0.32,
-    ("qsort", "parity-logging", "disk"): 0.404,
-    ("gauss", "parity-logging", "disk"): 0.5986,
-    ("cc", "no-reliability", "disk"): 0.2656,
-    ("cc", "parity-logging", "disk"): 0.2465,
-    ("cc", "mirroring", "disk"): 0.097,
 }

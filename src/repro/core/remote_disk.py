@@ -11,7 +11,7 @@ the same network to a server, but the server stores them on *its* disk
 instead of in DRAM — so every pagein pays wire time *plus* a disk
 access, and every pageout lands on a device with seek/rotation physics.
 Comparing it against :class:`~repro.core.NoReliability` regenerates the
-20-100% claim (``benchmarks/bench_remote_disk.py``).
+20-100% claim (gated in ``tests/experiments/test_paper_claims.py``).
 """
 
 from __future__ import annotations

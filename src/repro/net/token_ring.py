@@ -5,7 +5,7 @@ itself, not to remote paging: "it is still beneficial to use remote
 memory paging over networks that employ other technologies (e.g. token
 ring), as long as they are able to provide ... an effective bandwidth of
 10 or more Mbps."  This model lets the reproduction *test* that claim
-(see ``benchmarks/bench_token_ring.py``): under the same offered load, a
+(gated in ``tests/experiments/test_paper_claims.py``): under the same offered load, a
 token ring degrades gracefully (round-robin token passing, no
 collisions) where the Ethernet collapses.
 

@@ -23,7 +23,6 @@ __all__ = [
     "zero_page",
     "page_checksum",
     "corrupt_bytes",
-    "set_fastpath",
     "clear_fastpath_caches",
     "fastpath_stats",
     "fragment_memo_get",
@@ -38,8 +37,7 @@ _MIX = 0x9E3779B97F4A7C15  # Fibonacci hashing constant: cheap, well mixed
 # payloads thousands of times (every pageout start, every machine verify,
 # every parity XOR).  All three primitives below are pure functions of
 # their inputs, so memoising them cannot change any simulated result —
-# only wall-clock.  ``set_fastpath(False)`` restores the uncached
-# behaviour for A/B benchmarking (benchmarks/bench_pipeline.py).
+# only wall-clock.
 #
 # The caches return *shared immutable* ``bytes`` objects; nothing in the
 # codebase mutates page payloads in place (parity goes through
@@ -48,7 +46,6 @@ _MIX = 0x9E3779B97F4A7C15  # Fibonacci hashing constant: cheap, well mixed
 # (``contents == expected`` in the machine's verify loop) short-circuit
 # on ``a is b`` inside CPython before comparing a single byte.
 
-_FASTPATH = True
 _ZERO_PAGES: dict = {}  # size -> the shared all-zero page (few sizes ever)
 #: id(contents) -> (contents, crc).  The strong reference in the value
 #: keeps the id stable; the ``hit[0] is contents`` guard below makes a
@@ -66,21 +63,8 @@ _FRAGMENT_MEMO_MAX = 4096
 _FRAGMENT_MEMO_HITS = [0]
 
 
-def set_fastpath(enabled: bool) -> bool:
-    """Toggle the content fast path; returns the previous setting.
-
-    Flushes every cache on each call so A/B benchmark phases never see
-    another phase's warm state.
-    """
-    global _FASTPATH
-    previous = _FASTPATH
-    _FASTPATH = bool(enabled)
-    clear_fastpath_caches()
-    return previous
-
-
 def clear_fastpath_caches() -> None:
-    """Drop all memoised pages/checksums (benchmark hygiene)."""
+    """Drop all memoised pages, checksums and stripes."""
     _ZERO_PAGES.clear()
     _CHECKSUM_MEMO.clear()
     _FRAGMENT_MEMO.clear()
@@ -89,10 +73,9 @@ def clear_fastpath_caches() -> None:
 
 
 def fastpath_stats() -> dict:
-    """Cache occupancy/hit counters for the obs layer and benchmarks."""
+    """Cache occupancy and hit counters of the memos above."""
     info = _page_bytes_cached.cache_info()
     return {
-        "enabled": _FASTPATH,
         "page_bytes_hits": info.hits,
         "page_bytes_misses": info.misses,
         "page_bytes_entries": info.currsize,
@@ -109,8 +92,6 @@ def fragment_memo_get(contents: bytes, shape_key: tuple) -> Optional[list]:
     Trusted only when the stored object *is* ``contents`` and the codec
     shape matches — identical semantics to the checksum memo.
     """
-    if not _FASTPATH:
-        return None
     hit = _FRAGMENT_MEMO.get(id(contents))
     if hit is not None and hit[0] is contents and hit[1] == shape_key:
         _FRAGMENT_MEMO_HITS[0] += 1
@@ -122,8 +103,6 @@ def fragment_memo_put(
     contents: bytes, shape_key: tuple, fragments: list
 ) -> None:
     """Memoise an erasure stripe keyed by payload identity + shape."""
-    if not _FASTPATH:
-        return
     if len(_FRAGMENT_MEMO) >= _FRAGMENT_MEMO_MAX:
         _FRAGMENT_MEMO.clear()  # epoch flush: O(1) amortised, no LRU links
     _FRAGMENT_MEMO[id(contents)] = (contents, shape_key, fragments)
@@ -148,17 +127,13 @@ def page_bytes(page_id: int, version: int, size: int) -> bytes:
     """
     if size <= 0:
         raise ValueError(f"page size must be positive: {size}")
-    if _FASTPATH:
-        return _page_bytes_cached(page_id, version, size)
-    return _generate_page_bytes(page_id, version, size)
+    return _page_bytes_cached(page_id, version, size)
 
 
 def zero_page(size: int) -> bytes:
     """An all-zero page (the initial state of every parity buffer)."""
     if size <= 0:
         raise ValueError(f"page size must be positive: {size}")
-    if not _FASTPATH:
-        return bytes(size)
     page = _ZERO_PAGES.get(size)
     if page is None:
         page = _ZERO_PAGES[size] = bytes(size)
@@ -187,8 +162,6 @@ def page_checksum(contents: bytes) -> int:
     trusted when the stored object *is* the argument, so a recycled id
     after a cache flush can never alias a different payload.
     """
-    if not _FASTPATH:
-        return zlib.crc32(contents) & 0xFFFFFFFF
     hit = _CHECKSUM_MEMO.get(id(contents))
     if hit is not None and hit[0] is contents:
         return hit[1]

@@ -1,4 +1,5 @@
-"""Figure-experiment edge cases not covered by the full benchmarks."""
+"""Figure-experiment edge cases the full-size gate in
+``tests/experiments/test_paper_claims.py`` does not reach."""
 
 import pytest
 
