@@ -45,10 +45,6 @@ def compile_trace(
     """Pre-simulate replacement over ``trace``; emit the fault schedule."""
     if user_frames < 1:
         raise ValueError("user_frames must be >= 1")
-    if not getattr(policy, "supports_batch_touch", False):
-        raise ValueError(
-            f"policy {policy.name!r} does not support the batch-step API"
-        )
     if len(policy) != 0:
         raise ValueError("compile_trace needs a fresh (empty) policy instance")
 

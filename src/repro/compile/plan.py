@@ -13,7 +13,6 @@ stream:
 
 * the workload declares itself deterministic (every ``trace()`` call
   yields the same stream);
-* the replacement policy supports the batch-step API (FIFO/LRU/Clock);
 * no speculative fetch can perturb residency: both the machine-level
   read-ahead (``Machine.prefetch``) and the PR 4 adaptive prefetcher
   bypass to interpreted execution, with a ``compile.bypass`` event.
@@ -66,9 +65,6 @@ def _bypass_reason(machine, pager, workload) -> Optional[str]:
     pipeline = getattr(pager, "pipeline", None)
     if pipeline is not None and getattr(pipeline, "prefetcher", None) is not None:
         return "pipeline-prefetch"
-    policy = machine.replacement
-    if not getattr(policy, "supports_batch_touch", False):
-        return f"replacement:{getattr(policy, 'name', type(policy).__name__)}"
     if machine.spec.user_frames < 1:
         # Let the interpreted path raise its configuration error.
         return "no-user-frames"

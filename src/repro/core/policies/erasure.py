@@ -48,7 +48,6 @@ from ...errors import (
 )
 from ...sim import NULL_SPAN
 from ...units import microseconds
-from ...vm.page import fragment_memo_get, fragment_memo_put
 from ..server import MemoryServer
 from .base import ReliabilityPolicy
 from .gf256 import ReedSolomon, join_fragments, split_page
@@ -118,12 +117,6 @@ class PlacementGroupManager:
 
     def group_of(self, page_id: int) -> int:
         return page_id % len(self.groups)
-
-    def group_index(self, server: MemoryServer) -> Optional[int]:
-        for index, members in enumerate(self.groups):
-            if server in members:
-                return index
-        return None
 
     def members(self, group: int) -> List[MemoryServer]:
         return list(self.groups[group])
@@ -247,19 +240,8 @@ class ErasureCoding(ReliabilityPolicy):
     def _encode(self, contents: Optional[bytes]) -> List[Optional[bytes]]:
         if contents is None:  # metadata mode: no bytes, no parity algebra
             return [None] * self.width
-        # Encode-once by payload identity: the PR 4 content cache hands
-        # out shared bytes per (page, version) — including the shared
-        # zero page — so a page written once and paged out N times pays
-        # the split+GF algebra once.  Host-side only: the simulated
-        # encode CPU charge in pageout() is identical hit or miss.
-        shape = (self.k, self.m, self.fragment_size)
-        memo = fragment_memo_get(contents, shape)
-        if memo is not None:
-            return memo
         data = split_page(contents, self.k, self.fragment_size)
-        fragments = data + self.rs.encode(data)
-        fragment_memo_put(contents, shape, fragments)
-        return fragments
+        return data + self.rs.encode(data)
 
     # ---------------------------------------------------------- placement
     def _usable(self, server: MemoryServer) -> bool:

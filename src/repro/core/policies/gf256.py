@@ -27,24 +27,22 @@ XOR-accumulated in the packed domain and unpacked with strided views.
 tests/faults/test_codec_backends.py checks it against a per-byte
 :func:`gf_mul` reference.
 
-Coefficient rows are memoised at module level so every
+Coefficient rows are memoised with ``functools.lru_cache`` so every
 :class:`ReedSolomon` instance in the process shares them: encode
 matrices per ``(k, m)`` shape (a handful ever exist), reconstruction
-rows per ``(k, m, survivors, targets)`` subset behind an LRU bound
-(repeated degraded reads against the same crash pattern stop
-re-deriving Lagrange rows).  :func:`codec_stats` exposes the cache
-counters; instances additionally count their own deterministic hit/miss
-stream into an optional ``stats`` Counter (the erasure policy wires its
-``policy.*`` metrics counter in, so the cache's effectiveness lands in
-every MetricsRegistry snapshot without breaking run-for-run
-determinism — the per-instance stream depends only on the instance's
-own call sequence, never on process-global cache state).
+rows per ``(k, m, survivors, targets)`` subset (repeated degraded reads
+against the same crash pattern stop re-deriving Lagrange rows).
+Instances count their own deterministic hit/miss stream into an
+optional ``stats`` Counter (the erasure policy wires its ``policy.*``
+metrics counter in, so the stream lands in every MetricsRegistry
+snapshot without breaking run-for-run determinism — it depends only on
+the instance's own call sequence, never on process-global cache state).
 """
 
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -55,7 +53,6 @@ if sys.byteorder != "little":  # pragma: no cover
 
 __all__ = [
     "ReedSolomon",
-    "codec_stats",
     "gf_mul",
     "gf_inv",
     "prime_tables",
@@ -122,14 +119,7 @@ def prime_tables() -> None:
     _np_mul_table()
 
 
-#: (c1,) or (c1, c2) -> packed pair-multiply table, LRU-bounded.  Keyed
-#: by the coefficient values alone, so every matrix sharing a column
-#: pair shares the table.  Each uint32 table is 256 KB; the bound keeps
-#: the working set a few MB.
-_PAIR_TABLES: "OrderedDict[tuple, object]" = OrderedDict()
-_PAIR_TABLES_MAX = 64
-
-
+@lru_cache(maxsize=64)
 def _pair_table(col: tuple):
     """Packed multiply table for one or two coefficient lanes.
 
@@ -138,11 +128,11 @@ def _pair_table(col: tuple):
     ``c2*a | c2*b << 8`` in the high lane.  One gather through this
     table therefore advances *two adjacent bytes* of *every packed
     output row* at once — the numpy engine's whole trick.
+
+    Keyed by the coefficient values alone, so every matrix sharing a
+    column pair shares the table.  Each uint32 table is 256 KB; the
+    bound keeps the working set a few MB.
     """
-    table = _PAIR_TABLES.get(col)
-    if table is not None:
-        _PAIR_TABLES.move_to_end(col)
-        return table
     mul = _np_mul_table()
     lanes = []
     for c in col:
@@ -150,33 +140,9 @@ def _pair_table(col: tuple):
         # [b, a] grid raveled in C order == index (b << 8 | a).
         lanes.append((row[:, None] << 8) | row[None, :])
     if len(col) == 1:
-        table = _np.ascontiguousarray(lanes[0].ravel())
-    else:
-        table = (lanes[0].ravel().astype(_np.uint32)
-                 | (lanes[1].ravel().astype(_np.uint32) << 16))
-    _PAIR_TABLES[col] = table
-    if len(_PAIR_TABLES) > _PAIR_TABLES_MAX:
-        _PAIR_TABLES.popitem(last=False)
-    return table
-
-
-#: Reusable gather scratch (acc/tmp per dtype), keyed by halfword count.
-#: Bounded: the process only ever sees a handful of fragment lengths.
-_SCRATCH: "OrderedDict[tuple, object]" = OrderedDict()
-_SCRATCH_MAX = 16
-
-
-def _scratch(half: int, dtype) -> tuple:
-    key = (half, _np.dtype(dtype).itemsize)
-    bufs = _SCRATCH.get(key)
-    if bufs is None:
-        bufs = (_np.empty(half, dtype), _np.empty(half, dtype))
-        _SCRATCH[key] = bufs
-        if len(_SCRATCH) > _SCRATCH_MAX:
-            _SCRATCH.popitem(last=False)
-    else:
-        _SCRATCH.move_to_end(key)
-    return bufs
+        return _np.ascontiguousarray(lanes[0].ravel())
+    return (lanes[0].ravel().astype(_np.uint32)
+            | (lanes[1].ravel().astype(_np.uint32) << 16))
 
 
 def _combine_rows(
@@ -201,25 +167,20 @@ def _combine_rows(
     else:
         frags = buf.reshape(len(fragments), length)
     pairs = frags.view(_np.uint16)
-    half = pairs.shape[1]
     out: List[bytes] = []
     for base in range(0, len(rows), 2):
         chunk = rows[base : base + 2]
-        dtype = _np.uint32 if len(chunk) == 2 else _np.uint16
-        acc, tmp = _scratch(half, dtype)
-        live = 0
+        acc = None
         for i, index_row in enumerate(pairs):
             col = tuple(row[i] for row in chunk)
             if not any(col):
                 continue
-            table = _pair_table(col)
-            if live == 0:
-                table.take(index_row, mode="clip", out=acc)
+            gathered = _pair_table(col).take(index_row, mode="clip")
+            if acc is None:
+                acc = gathered
             else:
-                table.take(index_row, mode="clip", out=tmp)
-                acc ^= tmp
-            live += 1
-        if live == 0:
+                acc ^= gathered
+        if acc is None:
             out.extend(bytes(length) for _ in chunk)
         elif len(chunk) == 2:
             lanes = acc.view(_np.uint16).reshape(-1, 2)
@@ -256,61 +217,20 @@ def _lagrange_row(src_points: Sequence[int], y: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-#: (k, m) -> encode coefficient matrix.  A handful of shapes ever exist
-#: in one process, so this is unbounded.
-_ENCODE_ROWS: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
-
-#: (k, m, survivors, targets) -> reconstruction rows, LRU-bounded: the
-#: keyspace is combinatorial in principle but tiny in practice (one
-#: entry per distinct crash pattern actually seen).
-_RECON_ROWS: "OrderedDict[tuple, Tuple[Tuple[int, ...], ...]]" = OrderedDict()
-_RECON_ROWS_MAX = 1024
-
-_STATS = {
-    "encode_matrices": 0,
-    "recon_row_hits": 0,
-    "recon_row_misses": 0,
-    "recon_row_evictions": 0,
-}
-
-
-def codec_stats() -> dict:
-    """Process-wide codec state: the coefficient caches."""
-    return {
-        "encode_matrices": _STATS["encode_matrices"],
-        "recon_rows_cached": len(_RECON_ROWS),
-        "recon_row_hits": _STATS["recon_row_hits"],
-        "recon_row_misses": _STATS["recon_row_misses"],
-        "recon_row_evictions": _STATS["recon_row_evictions"],
-    }
-
-
+#: A handful of ``(k, m)`` shapes ever exist in one process.
+@lru_cache(maxsize=None)
 def _encode_rows(k: int, m: int) -> Tuple[Tuple[int, ...], ...]:
-    rows = _ENCODE_ROWS.get((k, m))
-    if rows is None:
-        data_points = tuple(range(k))
-        rows = tuple(_lagrange_row(data_points, k + j) for j in range(m))
-        _ENCODE_ROWS[(k, m)] = rows
-        _STATS["encode_matrices"] += 1
-    return rows
+    data_points = tuple(range(k))
+    return tuple(_lagrange_row(data_points, k + j) for j in range(m))
 
 
+#: One entry per distinct crash pattern actually seen: combinatorial in
+#: principle, tiny in practice.
+@lru_cache(maxsize=1024)
 def _reconstruction_rows(
     k: int, m: int, src: Tuple[int, ...], todo: Tuple[int, ...]
 ) -> Tuple[Tuple[int, ...], ...]:
-    key = (k, m, src, todo)
-    rows = _RECON_ROWS.get(key)
-    if rows is not None:
-        _RECON_ROWS.move_to_end(key)
-        _STATS["recon_row_hits"] += 1
-        return rows
-    rows = tuple(_lagrange_row(src, index) for index in todo)
-    _RECON_ROWS[key] = rows
-    _STATS["recon_row_misses"] += 1
-    if len(_RECON_ROWS) > _RECON_ROWS_MAX:
-        _RECON_ROWS.popitem(last=False)
-        _STATS["recon_row_evictions"] += 1
-    return rows
+    return tuple(_lagrange_row(src, index) for index in todo)
 
 
 class ReedSolomon:
@@ -318,8 +238,8 @@ class ReedSolomon:
 
     Fragment index ``i`` is the evaluation point ``x = i``; indices
     ``0..k-1`` are the verbatim data fragments, ``k..k+m-1`` parity.
-    Coefficient matrices come from the module-level memos (shared across
-    instances); ``stats`` — when set to a Counter-like object — receives
+    Coefficient matrices come from the module-level ``lru_cache`` memos
+    (shared across instances); ``stats`` — when set to a Counter-like object — receives
     a *deterministic* per-instance hit/miss stream keyed on whether this
     instance has already requested the same reconstruction subset
     (independent of process-global cache warmth, so metrics snapshots
@@ -351,89 +271,6 @@ class ReedSolomon:
                 f"expected {self.k} data fragments, got {len(data_fragments)}"
             )
         return _combine_rows(data_fragments, self._encode_matrix)
-
-    def encode_many(
-        self, pages: Sequence[Sequence[bytes]]
-    ) -> List[List[bytes]]:
-        """Parity for a whole stripe batch of pages in one codec pass.
-
-        ``pages`` is a sequence of per-page data-fragment lists (each of
-        ``k`` equal-length fragments).  Equivalent to ``[encode(p) for p
-        in pages]`` byte-for-byte, but concatenates the batch along the
-        fragment axis so every gather covers the whole
-        batch — the streaming entry point for bulk producers (rebuild
-        sweeps, benchmarks, the future gateway striper).
-        """
-        if not pages:
-            return []
-        length = len(pages[0][0])
-        sizes = {len(page) for page in pages}
-        if sizes != {self.k}:
-            raise ValueError(
-                f"expected {self.k} data fragments per page, got {sizes}"
-            )
-        if {len(f) for page in pages for f in page} != {length}:
-            raise ValueError("ragged fragment lengths in batch")
-        big = [b"".join([page[i] for page in pages]) for i in range(self.k)]
-        parity_rows = _combine_rows(big, self._encode_matrix)
-        return [
-            [row[p * length : (p + 1) * length] for row in parity_rows]
-            for p in range(len(pages))
-        ]
-
-    def data_from_many(
-        self, availables: Sequence[Dict[int, bytes]]
-    ) -> List[List[bytes]]:
-        """Batched :meth:`data_from` over a uniform survivor pattern.
-
-        When every page in the batch offers the same fragment-index set
-        (the shape of a rebuild sweep after a crash), the reconstruction
-        runs as one batched codec pass; mixed survivor patterns fall
-        back to the per-page path.  Byte-identical either way.
-        """
-        if not availables:
-            return []
-        first = frozenset(availables[0])
-        if (
-            len(availables) == 1
-            or any(frozenset(a) != first for a in availables[1:])
-            or len(availables[0]) < self.k
-        ):
-            return [self.data_from(a) for a in availables]
-        length = len(next(iter(availables[0].values())))
-        if length == 0 or any(
-            len(f) != length for a in availables for f in a.values()
-        ):
-            return [self.data_from(a) for a in availables]
-        src = tuple(
-            sorted(first, key=lambda i: (i >= self.k, i))[: self.k]
-        )
-        todo = tuple(i for i in range(self.k) if i not in first)
-        if not todo:
-            return [[a[i] for i in range(self.k)] for a in availables]
-        key = (src, todo)
-        if self.stats is not None:
-            self.stats.add(
-                "codec_row_hits" if key in self._seen_subsets
-                else "codec_row_misses"
-            )
-        self._seen_subsets.add(key)
-        rows = _reconstruction_rows(self.k, self.m, src, todo)
-        big = [b"".join([a[i] for a in availables]) for i in src]
-        rebuilt_rows = _combine_rows(big, rows)
-        out: List[List[bytes]] = []
-        for p, available in enumerate(availables):
-            rebuilt = {
-                index: row[p * length : (p + 1) * length]
-                for index, row in zip(todo, rebuilt_rows)
-            }
-            out.append(
-                [
-                    available[i] if i in available else rebuilt[i]
-                    for i in range(self.k)
-                ]
-            )
-        return out
 
     # ------------------------------------------------------- reconstruct
     def reconstruct(

@@ -14,12 +14,11 @@ transfers — the shortcoming the paper's parity *logging* removes.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Dict, Optional, Tuple
 
 from ...errors import PageNotFound, RecoveryError, ServerCrashed, ServerUnavailable
 from ...sim import NULL_SPAN
-from ...vm.page import xor_bytes
+from ...vm.page import xor_all
 from ..server import MemoryServer
 from .base import ReliabilityPolicy
 
@@ -145,7 +144,7 @@ class BasicParity(ReliabilityPolicy):
             self.parity_server, self._parity_key(slot), span=span, label="scrub"
         )
         pieces.append(parity)
-        contents = self._xor_all(pieces)
+        contents = xor_all(pieces)
         if contents is None or not verify(contents):
             return None
         yield from self._send_page(
@@ -184,7 +183,7 @@ class BasicParity(ReliabilityPolicy):
                 self.parity_server, self._parity_key(slot)
             )
             pieces.append(parity)
-            contents = self._xor_all(pieces)
+            contents = xor_all(pieces)
             self._recovery_verify(page_id, contents)
             # Re-home the page as a fresh pageout on a surviving server.
             target = max(
@@ -212,10 +211,3 @@ class BasicParity(ReliabilityPolicy):
             restored += 1
         self.counters.add("recovered_pages", restored)
         return restored
-
-    @staticmethod
-    def _xor_all(pieces) -> Optional[bytes]:
-        real = [p for p in pieces if p is not None]
-        if not real:
-            return None  # metadata mode
-        return reduce(xor_bytes, real)

@@ -31,13 +31,12 @@ inactive incarnations are cancelled out of their group's parity instead.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable, Dict, List, Optional
 
 from ...errors import PageNotFound, RecoveryError, ServerCrashed, ServerUnavailable
 from ...sim import NULL_SPAN, Tally
 from ...units import microseconds
-from ...vm.page import xor_bytes, zero_page
+from ...vm.page import xor_all, xor_bytes, zero_page
 from ..server import MemoryServer
 from .base import ReliabilityPolicy
 
@@ -321,7 +320,7 @@ class ParityLogging(ReliabilityPolicy):
             pieces.append(parity)
         else:
             pieces.append(group.buffer)
-        contents = self._xor_all(pieces)
+        contents = xor_all(pieces)
         if contents is None or not verify(contents):
             return None
         yield from self._send_page(
@@ -435,7 +434,7 @@ class ParityLogging(ReliabilityPolicy):
             else:
                 # An unsealed group's parity is the client's own buffer.
                 pieces.append(group.buffer)
-            contents = self._xor_all(pieces)
+            contents = xor_all(pieces)
             # Stale incarnations reconstruct to *old* bytes by design —
             # only the active copy must match the pageout checksum.
             if member.active:
@@ -478,7 +477,7 @@ class ParityLogging(ReliabilityPolicy):
             for member in group.members:
                 piece = yield from self._fetch_page(member.server, member.key)
                 pieces.append(piece)
-            parity = self._xor_all(pieces)
+            parity = xor_all(pieces)
             yield from self.stack.send_page(
                 self.client_host, replacement.host.name, self.page_size
             )
@@ -488,10 +487,3 @@ class ParityLogging(ReliabilityPolicy):
         self.parity_server = replacement
         self.counters.add("recovered_parity_pages", rebuilt)
         return rebuilt
-
-    @staticmethod
-    def _xor_all(pieces) -> Optional[bytes]:
-        real = [p for p in pieces if p is not None]
-        if not real:
-            return None  # metadata mode
-        return reduce(xor_bytes, real)

@@ -373,9 +373,6 @@ class _ConditionValue:
     def __len__(self) -> int:
         return len(self.events)
 
-    def todict(self) -> dict:
-        return {event: event.value for event in self.events}
-
 
 class _Condition(Event):
     """Base for composite events over a fixed set of sub-events."""

@@ -11,24 +11,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
-import numpy as _np
-
 __all__ = ["Counter", "Tally", "TimeWeighted", "UtilizationTracker"]
-
-
-def _sort_samples(samples: List[float]) -> List[float]:
-    """Sort for nearest-rank percentiles, numpy-backed for float samples.
-
-    Sorting is a pure reordering, so ``np.sort`` and ``sorted`` agree
-    element-for-element; ``tolist()`` hands back native Python floats so
-    nothing downstream ever sees a numpy scalar.  Falls back to
-    ``sorted`` for short or non-float payloads.
-    """
-    if len(samples) > 32 and all(
-        type(s) is float for s in samples
-    ):
-        return _np.sort(_np.asarray(samples, dtype=_np.float64)).tolist()
-    return sorted(samples)
 
 
 class Counter:
@@ -150,7 +133,7 @@ class Tally:
             return math.nan
         data = self._sorted
         if data is None:
-            data = self._sorted = _sort_samples(self._samples)
+            data = self._sorted = sorted(self._samples)
         rank = max(1, math.ceil(q / 100.0 * len(data)))
         return data[rank - 1]
 

@@ -252,7 +252,6 @@ class Machine:
         # interleave with a half-applied touch sequence.  The net policy
         # state is exactly that of per-reference touching; this is the
         # same batch-step API the trace compiler replays off-line.
-        batch_touch = getattr(policy, "supports_batch_touch", False)
         touches: list = []
         touch_append = touches.append
 
@@ -265,10 +264,7 @@ class Machine:
                 if is_write and not pte.dirty:
                     pte.dirty = True
                     versioner.bump(page_id)
-                if batch_touch:
-                    touch_append(page_id)
-                else:
-                    policy.touch(page_id, is_write)
+                touch_append(page_id)
                 if pending_cpu >= max_chunk:
                     if touches:
                         policy.touch_batch(touches)

@@ -5,16 +5,16 @@ FIFO, LRU, and Clock (second chance) behind one interface so experiments
 can ablate the choice.  The policy only tracks *resident* pages and picks
 victims; residency bookkeeping lives in the machine.
 
-All three built-ins additionally support the *batch-step* API the trace
-compiler rides on (``touch_batch`` + ``export_state``/``restore_state``,
-advertised via ``supports_batch_touch``): touches between two eviction
-decisions may be applied as one batch, because for these policies the
-state after a touch sequence depends only on membership (FIFO), the
-referenced-bit set (Clock), or the order of *last* touches (LRU) — never
-on the interleaving of touches with anything else.  The VM's hot loop
-buffers touches and flushes the batch before every simulation yield, and
-the compiler replays the same batches off-line, so both paths make
-identical eviction decisions (pinned by ``tests/compile``).
+Every policy also implements the *batch-step* API the VM and the trace
+compiler ride on (``touch_batch`` + ``export_state``/``restore_state``):
+touches between two eviction decisions may be applied as one batch,
+because for the built-ins the state after a touch sequence depends only
+on membership (FIFO), the referenced-bit set (Clock), or the order of
+*last* touches (LRU) — never on the interleaving of touches with
+anything else.  The VM's hot loop buffers touches and flushes the batch
+before every simulation yield, and the compiler replays the same
+batches off-line, so both paths make identical eviction decisions
+(pinned by ``tests/compile``).
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ class ReplacementPolicy:
 
     name = "abstract"
 
-    #: True when ``touch_batch`` is exactly equivalent to per-reference
-    #: ``touch`` calls (and the policy ignores ``is_write``).  Required
-    #: for the trace compiler; custom subclasses must opt in explicitly.
-    supports_batch_touch = False
-
     def insert(self, page_id: int) -> None:
         """A page became resident."""
         raise NotImplementedError
 
-    def touch(self, page_id: int, is_write: bool = False) -> None:
+    def touch(self, page_id: int) -> None:
         """A resident page was referenced."""
         raise NotImplementedError
 
@@ -60,11 +55,11 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def export_state(self) -> Any:
-        """JSON-serialisable snapshot for schedule replay (optional)."""
+        """JSON-serialisable snapshot for schedule replay."""
         raise NotImplementedError
 
     def restore_state(self, state: Any) -> None:
-        """Inverse of :meth:`export_state` (optional)."""
+        """Inverse of :meth:`export_state`."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -77,7 +72,6 @@ class FifoReplacement(ReplacementPolicy):
     __slots__ = ("_queue", "_members")
 
     name = "fifo"
-    supports_batch_touch = True
 
     def __init__(self) -> None:
         self._queue: Deque[int] = deque()
@@ -89,7 +83,7 @@ class FifoReplacement(ReplacementPolicy):
         self._queue.append(page_id)
         self._members.add(page_id)
 
-    def touch(self, page_id: int, is_write: bool = False) -> None:
+    def touch(self, page_id: int) -> None:
         if page_id not in self._members:
             raise KeyError(f"page {page_id} is not resident")
 
@@ -134,7 +128,6 @@ class LruReplacement(ReplacementPolicy):
     __slots__ = ("_order",)
 
     name = "lru"
-    supports_batch_touch = True
 
     def __init__(self) -> None:
         self._order: Dict[int, None] = {}
@@ -144,7 +137,7 @@ class LruReplacement(ReplacementPolicy):
             raise ValueError(f"page {page_id} already resident")
         self._order[page_id] = None
 
-    def touch(self, page_id: int, is_write: bool = False) -> None:
+    def touch(self, page_id: int) -> None:
         order = self._order
         try:
             order.pop(page_id)
@@ -195,7 +188,6 @@ class ClockReplacement(ReplacementPolicy):
     __slots__ = ("_ring", "_referenced")
 
     name = "clock"
-    supports_batch_touch = True
 
     def __init__(self) -> None:
         self._ring: Deque[int] = deque()
@@ -207,7 +199,7 @@ class ClockReplacement(ReplacementPolicy):
         self._ring.append(page_id)
         self._referenced[page_id] = False
 
-    def touch(self, page_id: int, is_write: bool = False) -> None:
+    def touch(self, page_id: int) -> None:
         if page_id not in self._referenced:
             raise KeyError(f"page {page_id} is not resident")
         self._referenced[page_id] = True

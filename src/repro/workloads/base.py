@@ -137,7 +137,6 @@ class Workload:
     def __init__(self, page_size: int = PAGE_SIZE):
         self.page_size = page_size
         self.layout = Layout(page_size)
-        self._materialized: Optional[Tuple[Ref, ...]] = None
 
     def schedule_token(self) -> Optional[Tuple]:
         """Identity of the reference stream for schedule sharing.
@@ -152,17 +151,6 @@ class Workload:
         return (type(self).__name__, self.page_size) + tuple(
             getattr(self, name) for name in fields
         )
-
-    def materialize(self) -> Tuple[Ref, ...]:
-        """The full reference stream as a cached tuple.
-
-        Only meaningful for deterministic workloads; tooling that walks
-        the stream repeatedly (the trace compiler's tests, benchmarks)
-        uses this to pay generation once.
-        """
-        if self._materialized is None:
-            self._materialized = tuple(self.trace())
-        return self._materialized
 
     @property
     def footprint_pages(self) -> int:

@@ -96,18 +96,6 @@ def test_cluster_override_and_process_default(tracer):
     assert plan_run(_cluster(), _workload()).schedule is not None
 
 
-def test_custom_policy_without_batch_api_bypasses(tracer):
-    from repro.vm.replacement import LruReplacement
-
-    class CustomPolicy(LruReplacement):
-        name = "custom"
-        supports_batch_touch = False
-
-    cluster = _cluster(replacement=CustomPolicy())
-    cluster.run(_workload())
-    assert ("bypass", {"reason": "replacement:custom"}) in _compile_events(tracer)
-
-
 def test_recorded_workload_compiled_matches_interpreted(tracer, tmp_path):
     """A recorded trace has no identity token, yet still compiles, and
     its compiled report equals the interpreted one."""

@@ -6,16 +6,11 @@ Pins the contract from DESIGN.md §15:
   the same fragments as a per-byte :func:`gf_mul` reference kept in this
   file, on the encode, reconstruct, and degraded-read paths, for
   arbitrary shapes, lengths (odd/even/empty), and survivor subsets.
-* **streaming parity**: ``encode_many``/``data_from_many`` match the
-  per-page calls exactly, including the mixed-subset and ragged-batch
-  fallbacks.
-* **memoisation**: per-(k, m) encode matrices and per-subset
-  reconstruction rows are cached with an LRU bound and surfaced through
-  ``codec_stats()``; the policy's per-instance subset counters land in
-  the MetricsRegistry.
-* **fan-out hygiene**: nested protocol batch-framing, the identity-keyed
-  fragment memo (zero-page encode-once), and the pagein preference
-  order that skips crashed/retired servers without paying a fetch.
+* **subset counters**: the policy's per-instance reconstruction-subset
+  hit/miss counters land in the MetricsRegistry.
+* **fan-out hygiene**: nested protocol batch-framing and the pagein
+  preference order that skips crashed/retired servers without paying a
+  fetch.
 """
 
 import pytest
@@ -27,16 +22,10 @@ from repro.core import build_cluster
 from repro.core.policies.gf256 import (
     ReedSolomon,
     _lagrange_row,
-    codec_stats,
     gf_mul,
     split_page,
 )
 from repro.faults import check_page_integrity
-from repro.vm.page import (
-    clear_fastpath_caches,
-    fastpath_stats,
-    zero_page,
-)
 from repro.workloads import SequentialScan
 
 SMALL = MachineSpec(
@@ -111,85 +100,12 @@ def test_backends_byte_identical(shape, contents, subset_seed):
 def test_zero_length_fragments():
     rs = ReedSolomon(3, 2)
     assert rs.encode([b""] * 3) == [b"", b""]
-    assert rs.encode_many([[b""] * 3, [b""] * 3]) == [[b"", b""], [b"", b""]]
     assert rs.data_from({0: b"", 3: b"", 4: b""}) == [b"", b"", b""]
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    shape=_SHAPES,
-    pages=st.integers(min_value=1, max_value=5),
-    length=st.integers(min_value=1, max_value=65),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_streaming_matches_per_page(shape, pages, length, seed):
-    """encode_many / data_from_many == the per-page loops."""
-    import random
-
-    k, m = shape
-    rng = random.Random(seed)
-    stripes = [
-        [bytes(rng.randrange(256) for _ in range(length)) for _ in range(k)]
-        for _ in range(pages)
-    ]
-    rs = ReedSolomon(k, m)
-
-    parities = [rs.encode(data) for data in stripes]
-    assert rs.encode_many(stripes) == parities
-    # One shared survivor subset (the batchable case) with m data lost.
-    lost = rng.sample(range(k), min(m, k))
-    survivors = [
-        {i: stripe[i] for i in range(k) if i not in lost}
-        | {k + j: parity[j] for j in range(m)}
-        for stripe, parity in zip(stripes, parities)
-    ]
-
-    batched = rs.data_from_many([dict(s) for s in survivors])
-    assert batched == [rs.data_from(dict(s)) for s in survivors]
-    assert batched == [list(stripe) for stripe in stripes]
-
-
-def test_streaming_mixed_subsets_fall_back_per_page():
-    """Heterogeneous survivor sets decode correctly (per-page fallback)."""
-    k, m = 3, 2
-    rs = ReedSolomon(k, m)
-    stripes = [split_page(bytes(range(30 * i, 30 * i + 30)), k, 10)
-               for i in range(1, 4)]
-    parities = [rs.encode(data) for data in stripes]
-    survivors = [
-        {0: stripes[0][0], 1: stripes[0][1], 2: stripes[0][2]},   # all data
-        {0: stripes[1][0], 3: parities[1][0], 4: parities[1][1]},  # 2 lost
-        {1: stripes[2][1], 2: stripes[2][2], 3: parities[2][0]},   # 1 lost
-    ]
-    decoded = rs.data_from_many(survivors)
-    assert decoded == [list(stripe) for stripe in stripes]
-
-
-def test_encode_many_rejects_ragged_stripes():
-    rs = ReedSolomon(2, 1)
-    with pytest.raises(ValueError):
-        rs.encode_many([[b"aa", b"bb"], [b"ccc", b"ddd"]])
-    with pytest.raises(ValueError):
-        rs.encode_many([[b"aa", b"bbb"]])
-
-
 # --------------------------------------------------------------------------
-# Coefficient caches.
+# Per-instance subset counters.
 # --------------------------------------------------------------------------
-
-def test_codec_stats_surface_row_caches():
-    rs = ReedSolomon(4, 2)
-    data = split_page(bytes(range(64)), 4, 16)
-    parity = rs.encode(data)
-    before = codec_stats()
-    available = {0: data[0], 1: data[1], 4: parity[0], 5: parity[1]}
-    rs.data_from(dict(available))
-    rs.data_from(dict(available))  # same subset: second hit is cached
-    after = codec_stats()
-    assert after["recon_rows_cached"] >= 1
-    assert after["recon_row_hits"] > before["recon_row_hits"]
-    assert after["encode_matrices"] >= 1
-
 
 def test_policy_surfaces_subset_counters_in_metrics():
     """Per-instance codec row hit/miss counters land in the registry."""
@@ -212,55 +128,6 @@ def test_policy_surfaces_subset_counters_in_metrics():
     # cache warmth.
     assert snapshot["policy.codec_row_misses"] >= 1
     assert snapshot["policy.codec_row_hits"] >= 1
-
-
-# --------------------------------------------------------------------------
-# Fragment memo (content fast path).
-# --------------------------------------------------------------------------
-
-def test_fragment_memo_counts_repeat_encodes():
-    clear_fastpath_caches()
-    cluster = build_cluster(
-        policy="ec-2-1",
-        machine_spec=SMALL,
-        n_servers=8,
-        content_mode=True,
-        seed=3,
-        server_capacity_pages=600,
-    )
-    # A real run fills the memo: every content-mode pageout records its
-    # stripe keyed by payload identity.
-    cluster.run(SequentialScan(n_pages=300, passes=2, write=True))
-    stats = fastpath_stats()
-    assert stats["fragment_entries"] > 0
-    # Re-encoding an already-seen shared payload is a pure memo hit and
-    # returns the identical fragment list (page_bytes hands out shared
-    # objects per (page, version), which is what makes identity keying
-    # pay off for re-pageouts of unchanged pages).
-    from repro.vm.page import page_bytes
-
-    contents = page_bytes(7, 1, SMALL.page_size)
-    first = cluster.policy._encode(contents)
-    hits_before = fastpath_stats()["fragment_hits"]
-    assert cluster.policy._encode(contents) is first
-    assert fastpath_stats()["fragment_hits"] == hits_before + 1
-
-
-def test_zero_page_fragments_encoded_once():
-    clear_fastpath_caches()
-    from repro.core.policies.erasure import ErasureCoding
-
-    shape = (2, 1, 4096)
-    page = zero_page(8192)
-    assert page is zero_page(8192)  # the singleton the memo keys on
-    from repro.vm.page import fragment_memo_get, fragment_memo_put
-
-    assert fragment_memo_get(page, shape) is None
-    fragment_memo_put(page, shape, ["frags"])
-    assert fragment_memo_get(page, shape) == ["frags"]
-    assert fragment_memo_get(page, (4, 2, 2048)) is None  # shape-guarded
-    assert fastpath_stats()["fragment_hits"] == 1
-    assert ErasureCoding is not None  # the consumer of this memo
 
 
 # --------------------------------------------------------------------------

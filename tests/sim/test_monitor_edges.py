@@ -104,20 +104,14 @@ def test_percentile_reuses_sorted_cache_until_invalidated():
     assert tally.percentile(0) == 1.0
 
 
-def test_numpy_sort_matches_sorted_exactly():
-    """The numpy-backed percentile sort (used for > 32 float samples)
-    must agree element-for-element with ``sorted`` and hand back native
-    floats, so every downstream percentile is bit-identical."""
+def test_percentile_sort_matches_sorted_exactly():
+    """Every nearest-rank percentile of a large float sample is the
+    matching element of ``sorted`` and a native float."""
     import random
-
-    from repro.sim.monitor import _sort_samples
 
     rng = random.Random(20260808)
     samples = [rng.uniform(-1e3, 1e3) for _ in range(500)]
     samples += [samples[7], samples[7], 0.0, -0.0, 1e-300, 1e300]
-    fast = _sort_samples(samples)
-    assert fast == sorted(samples)
-    assert all(type(s) is float for s in fast)
 
     tally = Tally(keep_samples=True)
     for value in samples:
@@ -126,21 +120,23 @@ def test_numpy_sort_matches_sorted_exactly():
     n = len(reference)
     for q in (0, 1, 25, 50, 75, 95, 99, 100):
         rank = max(1, math.ceil(q / 100.0 * n))  # nearest-rank, as Tally
-        assert tally.percentile(q) == reference[rank - 1]
+        value = tally.percentile(q)
+        assert value == reference[rank - 1]
+        assert type(value) is float
 
 
 def test_int_samples_keep_python_sort():
     """Integer samples must not round-trip through float64 (a large int
-    would silently lose precision): the fallback path keeps them
-    exact."""
-    from repro.sim.monitor import _sort_samples
-
+    would silently lose precision): percentiles hand them back exact."""
     big = 2**63 + 1  # not representable as float64
-    samples = [big, 1, 3, 2] * 12  # length > 32: numpy-eligible size
-    result = _sort_samples(samples)
-    assert result == sorted(samples)
-    assert result[-1] == big
-    assert all(type(s) is int for s in result)
+    samples = [big, 1, 3, 2] * 12
+    tally = Tally(keep_samples=True)
+    for value in samples:
+        tally.observe(value)
+    assert tally.percentile(100) == big
+    assert type(tally.percentile(100)) is int
+    assert tally.percentile(50) == 2
+    assert type(tally.percentile(0)) is int
 
 
 # --------------------------------------------------------- TimeWeighted
