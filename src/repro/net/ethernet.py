@@ -21,13 +21,22 @@ retries.  A sole beginner wins the channel for its frame time.  This is
 the standard abstract CSMA/CD model (Tanenbaum §3, which the paper cites
 for the collapse behaviour).
 
+**Callback walk.**  Each station's sender and the channel's contention
+resolver are callback state machines on :meth:`Simulator.call_at`
+entries: no generator, no process and no timeout per frame attempt.
+Every step pushes exactly the heap entry, at the same instant and in
+the same order, that one generator process per sender and per
+contention slot would push — including the entry at ``now`` through
+which a newly started process reaches its first wait (``_hop``) — so
+same-instant ties resolve exactly as they would under that design.
+
 **Analytic fast path.**  On an *uncontended* medium the frame-level walk
 is pure arithmetic: no collision can occur, so no backoff RNG is drawn,
 and every boundary of every frame — gap end, transmit start, transmit
 end — is a deterministic float chain.  When a message starts with the
 channel idle and no other sender active, the model computes all of those
 boundaries up front (in exactly the float order the chained frame-level
-timeouts would produce), schedules ONE completion event at the last
+steps would produce), schedules ONE completion entry at the last
 frame's end, and parks the sender on it — a *fast hold*.  Wire-
 utilisation marks and frame counters are applied lazily, settled
 whenever someone reads utilisation or the hold ends.  If a second sender
@@ -43,10 +52,12 @@ A/B checks, and chaos wrappers disable the fast path outright.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from collections import deque
+from functools import partial
+from typing import Deque, Dict, List, Optional
 
 from ..config import EthernetSpec
-from ..sim import Event, RngRegistry, Simulator, Store
+from ..sim import Event, RngRegistry, Simulator
 from .base import Message, Network
 
 __all__ = ["EthernetCsmaCd"]
@@ -60,49 +71,131 @@ _FAST = "fast"  # analytic hold in progress (uncontended, precomputed)
 
 
 class _Station:
-    """Per-host transmit queue and its sender process."""
+    """Per-host transmit queue and its sender, as a callback state machine.
+
+    Each method below is one step of the 802.3 sender; a step ends by
+    pushing the heap entry that fires the next one (``sim.call_at``) or
+    by parking the station where the channel will find it (the
+    contender list, the idle waiters, a fast hold).  ``k`` is the frame
+    of ``message`` in flight and ``attempts`` its collision count.
+    """
+
+    __slots__ = (
+        "net", "sim", "queue", "rng", "idle",
+        "message", "payloads", "k", "frame_time", "attempts",
+    )
 
     def __init__(self, net: "EthernetCsmaCd", host: str):
         self.net = net
-        self.host = host
-        self.queue: Store = Store(net.sim)
+        self.sim = net.sim
+        self.queue: Deque[Message] = deque()
         self.rng: random.Random = net.rngs.stream(f"ethernet.{host}")
-        self.process = net.sim.process(self._run(), name=f"eth-station:{host}")
+        self.idle = False  # parked on an empty queue
+        self.message: Optional[Message] = None
+        self.payloads: List[int] = []
+        self.k = 0
+        self.frame_time = 0.0
+        self.attempts = 0
+        # The sender starts on its own heap entry, so a message queued
+        # at the station's creation instant waits for it.
+        self.sim.call_at(self.sim.now, self._next)
 
-    def _run(self):
+    def put(self, message: Message) -> None:
+        """Queue ``message``; wake the sender if it is parked."""
+        self.queue.append(message)
+        if self.idle:
+            self.idle = False
+            self.sim.call_at(self.sim.now, self._take)
+
+    def _next(self) -> None:
+        """Take the next queued message on a fresh entry, or park."""
+        if self.queue:
+            self.sim.call_at(self.sim.now, self._take)
+        else:
+            self.idle = True
+
+    def _take(self) -> None:
+        self.message = self.queue.popleft()
+        self.net._active_sends += 1
+        self._reach()
+
+    def _reach(self, _healed: Optional[Event] = None) -> None:
+        """§2.2: a partition stalls the sender; nothing is dropped."""
         net = self.net
-        while True:
-            message: Message = yield self.queue.get()
-            net._active_sends += 1
-            try:
-                # §2.2: a partition stalls the sender; nothing is dropped.
-                yield from net._await_reachable(message.src, message.dst)
-                payloads = net._fragments(message.nbytes)
-                k = 0
-                hold = net._try_fast_hold(self, payloads)
-                if hold is not None:
-                    # Park on the hold.  It resolves either to
-                    # ("done", n) — all frames sent analytically — or,
-                    # after a devirtualization, to a precise resume
-                    # point: ("frame", k, oc) continues frame k from
-                    # its in-progress contention outcome ``oc``;
-                    # ("resume", k) retries frame k from carrier sense.
-                    resume = yield hold.outcome
-                    if resume[0] == "done":
-                        k = len(payloads)
-                    else:
-                        k = resume[1]
-                        if resume[0] == "frame":
-                            yield from net._send_frame(
-                                self, payloads[k], first_outcome=resume[2]
-                            )
-                            k += 1
-                while k < len(payloads):
-                    yield from net._send_frame(self, payloads[k])
-                    k += 1
-                net._deliver(message)
-            finally:
-                net._active_sends -= 1
+        message = self.message
+        if net._crosses_partition(message.src, message.dst):
+            waiter = Event(self.sim)
+            waiter.callbacks.append(self._reach)
+            net._heal_waiters.append(waiter)
+            return
+        self.payloads = net._fragments(message.nbytes)
+        if net._try_fast_hold(self) is None:
+            self._frame(0)
+
+    def _attempt(self, k: int) -> None:
+        """Make frame ``k`` the one in flight, with fresh backoff state."""
+        self.k = k
+        self.frame_time = self.net.spec.frame_time(self.payloads[k])
+        self.attempts = 0
+
+    def _frame(self, k: int) -> None:
+        """Send frame ``k`` from carrier sense; past the last, deliver."""
+        if k < len(self.payloads):
+            self._attempt(k)
+            self._sense()
+            return
+        net = self.net
+        net._deliver(self.message)
+        net._active_sends -= 1
+        self.message = None
+        self._next()
+
+    def _sense(self) -> None:
+        """Top of the 802.3 loop for the frame in flight."""
+        net = self.net
+        # An analytic hold cannot coexist with a second sender:
+        # materialise its exact frame-level state before touching the
+        # channel.
+        if net._fast_hold is not None:
+            net._devirtualize()
+        self._carrier()
+
+    def _carrier(self) -> None:
+        """Carrier sense: on an idle channel wait out the interframe gap,
+        else park until the channel goes idle."""
+        net = self.net
+        if net._state in (_IDLE, _CONTEND):
+            sim = self.sim
+            sim.call_at(sim.now + net.spec.interframe_gap, self._gap_end)
+        else:
+            net._idle_waiters.append(self)
+
+    def _gap_end(self) -> None:
+        """The gap is over: begin if the channel is still free."""
+        net = self.net
+        if net._state in (_IDLE, _CONTEND):
+            net._begin(self, self.frame_time)
+        else:
+            self._sense()
+
+    def _won(self) -> None:
+        self._frame(self.k + 1)
+
+    def _collided(self) -> None:
+        """Binary exponential backoff: ``r`` slots, ``r`` uniform in
+        ``[0, 2^min(attempts, 10))``; after ``max_attempts`` the frame
+        counts as dropped and restarts from a fresh backoff state."""
+        net = self.net
+        spec = net.spec
+        self.attempts += 1
+        net.stats.counters.add("station_collisions")
+        if self.attempts >= spec.max_attempts:
+            net._drops += 1
+            self.attempts = 0
+        exponent = min(self.attempts, spec.max_backoff_exponent)
+        slots = self.rng.randrange(0, 2**exponent)
+        sim = self.sim
+        sim.call_at(sim.now + (spec.jam_time + slots * spec.slot_time), self._sense)
 
 
 class _FastHold:
@@ -117,16 +210,15 @@ class _FastHold:
 
     __slots__ = (
         "station", "begins", "starts", "ends", "frame_times",
-        "outcome", "flushed", "busy_open", "active",
+        "flushed", "busy_open", "active",
     )
 
-    def __init__(self, station, begins, starts, ends, frame_times, outcome):
+    def __init__(self, station, begins, starts, ends, frame_times):
         self.station = station
         self.begins = begins
         self.starts = starts
         self.ends = ends
         self.frame_times = frame_times
-        self.outcome = outcome
         self.flushed = 0
         self.busy_open = False
         self.active = True
@@ -154,8 +246,8 @@ class EthernetCsmaCd(Network):
         self.rngs = rngs or RngRegistry(seed=0)
         self.analytic = analytic
         self._state = _IDLE
-        self._contenders: List[tuple] = []  # (station, frame_time, event)
-        self._idle_waiters: List[Event] = []
+        self._contenders: List[tuple] = []  # (station, frame_time)
+        self._idle_waiters: List[_Station] = []
         self._pending_events: Dict[int, Event] = {}
         self._drops = 0
         self._active_sends = 0
@@ -170,7 +262,7 @@ class EthernetCsmaCd(Network):
         station: _Station = self._require(src)
         done = self.sim.event()
         self._pending_events[message.msg_id] = done
-        station.queue.put(message)
+        station.put(message)
         return done
 
     @property
@@ -202,9 +294,19 @@ class EthernetCsmaCd(Network):
         if event is not None and not event.triggered:
             event.succeed(message)
 
+    def _hop(self, when: float, fn) -> None:
+        """Call ``fn`` at ``when`` through one entry at now: ``fn`` is
+        pushed only when that entry fires, as a process started now
+        pushes its first wait.  That is the rank ``fn`` must hold among
+        same-instant ties; pushing it directly would rank it ahead of
+        every entry pushed between now and the hop."""
+        sim = self.sim
+        sim.call_at(sim.now, partial(sim.call_at, when, fn))
+
     # -- analytic fast path -------------------------------------------------
-    def _try_fast_hold(self, station: _Station, payloads: List[int]) -> Optional[_FastHold]:
-        """Serve a whole message analytically if the medium is uncontended.
+    def _try_fast_hold(self, station: _Station) -> Optional[_FastHold]:
+        """Serve ``station``'s message analytically if the medium is
+        uncontended.
 
         Eligibility is strict: fast path enabled, channel idle, nobody
         contending or carrier-sense-parked, and this is the ONLY active
@@ -213,6 +315,7 @@ class EthernetCsmaCd(Network):
         The uncontended walk draws no RNG, so skipping it leaves every
         backoff stream untouched.
         """
+        payloads = station.payloads
         if not self.analytic or not payloads:
             return None
         if self._state != _IDLE or self._active_sends != 1:
@@ -226,8 +329,8 @@ class EthernetCsmaCd(Network):
         ends: List[float] = []
         frame_times: List[float] = []
         # Accumulate boundaries in the frame-level float order: each
-        # chained timeout wakes at (previous instant + delay), so the
-        # association below is exactly what the kernel would compute.
+        # chained step wakes at (previous instant + delay), so the
+        # association below is exactly what the walk would compute.
         t = self.sim.now
         for payload in payloads:
             frame_time = spec.frame_time(payload)
@@ -239,21 +342,21 @@ class EthernetCsmaCd(Network):
             ends.append(e)
             frame_times.append(frame_time)
             t = e
-        hold = _FastHold(station, begins, starts, ends, frame_times, self.sim.event())
+        hold = _FastHold(station, begins, starts, ends, frame_times)
         self._state = _FAST
         self._fast_hold = hold
-        self.sim.process(self._complete_fast_hold(hold), name="eth-fast")
+        self._hop(ends[-1], partial(self._complete_fast_hold, hold))
         return hold
 
-    def _complete_fast_hold(self, hold: _FastHold):
-        """One kernel event at the last frame's end closes the hold."""
-        yield self.sim.at(hold.ends[-1])
+    def _complete_fast_hold(self, hold: _FastHold) -> None:
+        """One kernel entry at the last frame's end closes the hold."""
         if not hold.active:  # devirtualized (or completed) meanwhile
             return
         hold.active = False
         self._fast_hold = None
-        hold.outcome.succeed(("done", len(hold.ends)))
-        self._flush_hold(hold, self.sim.now)
+        sim = self.sim
+        sim.call_at(sim.now, partial(hold.station._frame, len(hold.ends)))
+        self._flush_hold(hold, sim.now)
         self._state = _IDLE
 
     def _flush_fast_hold(self) -> None:
@@ -290,8 +393,8 @@ class EthernetCsmaCd(Network):
         With boundaries ``b <= s <= e`` per frame, ``now`` falls in one
         of three windows of the first unfinished frame ``k``:
 
-        * ``now >= s_k`` — mid-transmission: channel ``busy``, a resolver
-          finishes frame ``k`` at ``e_k`` (case A);
+        * ``now >= s_k`` — mid-transmission: channel ``busy``, the
+          resolver finishes frame ``k`` at ``e_k`` (case A);
         * ``now >= b_k`` — in the contention slot: channel ``contend``
           with the owner as sole contender so far, resolution at ``s_k``
           (case B) — the newcomer may still join and collide, which is
@@ -299,153 +402,98 @@ class EthernetCsmaCd(Network):
         * else — in the interframe gap: channel ``idle``; the owner's
           gap expires at ``b_k`` and it begins then, unless the newcomer
           seized the channel first (case C).
+
+        Case B's resolve entry takes its heap rank now, not at ``b_k``
+        where the frame-level resolver's slot entry would have taken
+        it, so a newcomer whose gap ends exactly at ``s_k`` can join a
+        slot the frame-level walk would already have resolved.
         """
         hold = self._fast_hold
         assert hold is not None
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        station = hold.station
         hold.active = False
         self._fast_hold = None
         self._flush_hold(hold, now)
         k = hold.flushed
         if k >= len(hold.ends):
-            # now >= e_last and the completion shim lost the timestep
+            # now >= e_last and the completion entry lost the timestep
             # tie: the message is already fully transmitted.
             self._state = _IDLE
-            hold.outcome.succeed(("done", k))
+            sim.call_at(now, partial(station._frame, k))
             return
         if now >= hold.starts[k]:  # case A
             self._state = _BUSY
-            self.sim.process(self._finish_fast_frame(hold, k), name="eth-resolve")
+            station.k = k
+            self._hop(hold.ends[k], partial(self._transmitted, station))
         elif now >= hold.begins[k]:  # case B
-            outcome = self.sim.event()
             self._state = _CONTEND
-            self._contenders = [(hold.station, hold.frame_times[k], outcome)]
-            self.sim.process(self._resolve(until=hold.starts[k]), name="eth-resolve")
-            hold.outcome.succeed(("frame", k, outcome))
+            self._contenders = [(station, hold.frame_times[k])]
+            self._hop(hold.starts[k], self._resolve)
+            sim.call_at(now, partial(station._attempt, k))
         else:  # case C
             self._state = _IDLE
-            self.sim.process(
-                self._begin_fast_frame(hold, k),
-                name=f"eth-gap:{hold.station.host}",
-            )
+            self._hop(hold.begins[k], partial(self._begin_fast_frame, hold, k))
 
-    def _finish_fast_frame(self, hold: _FastHold, k: int):
-        """Case A resolver: frame ``k`` was mid-air at devirtualization;
-        complete it at its precomputed end, exactly as ``_resolve`` would
-        (owner first, then channel release, then parked waiters)."""
-        yield self.sim.at(hold.ends[k])
-        hold.outcome.succeed(("resume", k + 1))
-        self.stats.counters.add("frames")
-        self._state = _IDLE
-        self.stats.wire.idle(self.sim.now)
-        waiters, self._idle_waiters = self._idle_waiters, []
-        for waiter in waiters:
-            waiter.succeed()
-
-    def _begin_fast_frame(self, hold: _FastHold, k: int):
-        """Case C shim: stand in for the owner's in-flight gap timeout.
-        At the gap's end, re-check the channel exactly as the frame-level
-        loop does and either begin frame ``k`` or send the owner back to
-        carrier sense."""
-        yield self.sim.at(hold.begins[k])
+    def _begin_fast_frame(self, hold: _FastHold, k: int) -> None:
+        """Case C: stand in for the owner's in-flight gap.  At the gap's
+        end, re-check the channel exactly as the frame-level sender does
+        and either begin frame ``k`` or send the owner back to carrier
+        sense."""
+        sim = self.sim
+        station = hold.station
         if self._state in (_IDLE, _CONTEND):
-            outcome = self._begin(hold.station, hold.frame_times[k])
-            hold.outcome.succeed(("frame", k, outcome))
+            self._begin(station, hold.frame_times[k])
+            sim.call_at(sim.now, partial(station._attempt, k))
         else:
-            hold.outcome.succeed(("resume", k))
+            sim.call_at(sim.now, partial(station._frame, k))
 
-    # -- CSMA/CD state machine ---------------------------------------------
-    def _send_frame(self, station: _Station, payload: int, first_outcome: Optional[Event] = None):
-        """Generator: contend for the channel and transmit one frame.
-
-        Follows 802.3: carrier sense, interframe gap, transmit; on
-        collision, jam and back off ``r`` slots with ``r`` uniform in
-        ``[0, 2^min(attempts, 10))``; after ``max_attempts`` the frame is
-        counted as dropped and retried from a fresh backoff state (the
-        paging layer cannot afford to lose frames; real TCP would
-        retransmit with the same net effect).
-
-        ``first_outcome`` resumes a devirtualized fast hold: the frame's
-        first attempt is already registered with the channel and this
-        generator picks up waiting for its outcome.
-        """
-        spec = self.spec
-        frame_time = spec.frame_time(payload)
-        attempts = 0
-        while True:
-            if first_outcome is not None:
-                pending, first_outcome = first_outcome, None
-                outcome = yield pending
-            else:
-                # An analytic hold cannot coexist with a second sender:
-                # materialise its exact frame-level state before touching
-                # the channel.
-                if self._fast_hold is not None:
-                    self._devirtualize()
-                # Carrier sense: wait for an idle channel.
-                while self._state not in (_IDLE, _CONTEND):
-                    waiter = self.sim.event()
-                    self._idle_waiters.append(waiter)
-                    yield waiter
-                # Interframe gap, then check the channel is still free.
-                yield self.sim.timeout(spec.interframe_gap)
-                if self._state not in (_IDLE, _CONTEND):
-                    continue
-                outcome = yield self._begin(station, frame_time)
-            if outcome == "won":
-                return
-            # Collision: binary exponential backoff.
-            attempts += 1
-            self.stats.counters.add("station_collisions")
-            if attempts >= spec.max_attempts:
-                self._drops += 1
-                attempts = 0  # excessive collisions: restart backoff state
-            exponent = min(attempts, spec.max_backoff_exponent)
-            slots = station.rng.randrange(0, 2**exponent)
-            yield self.sim.timeout(spec.jam_time + slots * spec.slot_time)
-
-    def _begin(self, station: _Station, frame_time: float) -> Event:
+    # -- CSMA/CD arbitration -----------------------------------------------
+    def _begin(self, station: _Station, frame_time: float) -> None:
         """Register a transmission attempt in the current contention slot."""
-        outcome = self.sim.event()
         if self._state == _IDLE:
             self._state = _CONTEND
-            self._contenders = [(station, frame_time, outcome)]
-            self.stats.wire.busy(self.sim.now)
-            self.sim.process(self._resolve(), name="eth-resolve")
+            self._contenders = [(station, frame_time)]
+            now = self.sim.now
+            self.stats.wire.busy(now)
+            self._hop(now + self.spec.slot_time, self._resolve)
         elif self._state == _CONTEND:
-            self._contenders.append((station, frame_time, outcome))
+            self._contenders.append((station, frame_time))
         else:  # pragma: no cover - guarded by the caller's carrier sense
-            outcome.succeed("collision")
-        return outcome
+            self.sim.call_at(self.sim.now, station._collided)
 
-    def _resolve(self, until: Optional[float] = None):
-        """After one contention slot, pick a winner or declare a collision.
-
-        ``until`` replays a devirtualized hold's contention window: the
-        slot already began at the hold's precomputed frame begin, so the
-        resolver must wake at that exact absolute instant rather than a
-        fresh ``now + slot_time``.
-        """
-        spec = self.spec
-        if until is None:
-            yield self.sim.timeout(spec.slot_time)
-        else:
-            yield self.sim.at(until)
+    def _resolve(self) -> None:
+        """After one contention slot, pick a winner or declare a collision."""
         contenders, self._contenders = self._contenders, []
+        sim = self.sim
         if len(contenders) == 1:
-            _, frame_time, outcome = contenders[0]
+            station, frame_time = contenders[0]
             self._state = _BUSY
-            yield self.sim.timeout(frame_time)
-            outcome.succeed("won")
-            self.stats.counters.add("frames")
+            sim.call_at(sim.now + frame_time, partial(self._transmitted, station))
         else:
             self._state = _JAM
             self.stats.counters.add("collisions")
-            yield self.sim.timeout(spec.jam_time)
-            for _, _, outcome in contenders:
-                outcome.succeed("collision")
+            sim.call_at(sim.now + self.spec.jam_time, partial(self._jammed, contenders))
+
+    def _transmitted(self, station: _Station) -> None:
+        """The sole contender's frame is on the wire: it won."""
+        self.sim.call_at(self.sim.now, station._won)
+        self.stats.counters.add("frames")
+        self._release()
+
+    def _jammed(self, contenders: List[tuple]) -> None:
+        """The jam is over: every contender backs off."""
+        sim = self.sim
+        for station, _ in contenders:
+            sim.call_at(sim.now, station._collided)
+        self._release()
+
+    def _release(self) -> None:
+        """Free the channel and wake the stations parked on carrier sense."""
+        sim = self.sim
         self._state = _IDLE
-        self.stats.wire.idle(self.sim.now)
+        self.stats.wire.idle(sim.now)
         waiters, self._idle_waiters = self._idle_waiters, []
-        for waiter in waiters:
-            waiter.succeed()
+        for station in waiters:
+            sim.call_at(sim.now, station._carrier)

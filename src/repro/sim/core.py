@@ -10,6 +10,12 @@ deterministic, generator-based engine in the style of SimPy:
 * A :class:`Process` wraps a generator.  The generator yields events; the
   process resumes when the yielded event fires, receiving the event's
   value (or having its exception raised at the ``yield``).
+* A heap entry is ``(time, seq, fire)`` with ``fire`` a zero-argument
+  callable: an event pushes its bound ``_process``, and
+  :meth:`Simulator.call_at` pushes a bare callback with no event behind
+  it.  Hot state machines (the CSMA/CD walk in
+  :mod:`repro.net.ethernet`) step through ``call_at`` alone, with no
+  generator, no :class:`Process` and no :class:`Timeout` per step.
 
 Determinism matters for reproducible experiments: events scheduled for the
 same instant fire in FIFO scheduling order (a monotonically increasing
@@ -225,7 +231,7 @@ class Event:
         self._value = value
         self._state = TRIGGERED
         sim = self.sim
-        heappush(sim._heap, (sim._now, next(sim._seq), self))
+        heappush(sim._heap, (sim._now, next(sim._seq), self._process))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -237,7 +243,7 @@ class Event:
         self._exception = exception
         self._state = TRIGGERED
         sim = self.sim
-        heappush(sim._heap, (sim._now, next(sim._seq), self))
+        heappush(sim._heap, (sim._now, next(sim._seq), self._process))
         return self
 
     def defuse(self) -> None:
@@ -282,7 +288,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         self._state = TRIGGERED
-        heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
+        heappush(sim._heap, (sim._now + delay, next(sim._seq), self._process))
 
 
 class Periodic(Event):
@@ -327,7 +333,7 @@ class Periodic(Event):
         first = sim._now + interval if start is None else start
         if first < sim._now:
             raise ValueError(f"periodic start {first} is in the past (now={sim._now})")
-        heappush(sim._heap, (first, next(sim._seq), self))
+        heappush(sim._heap, (first, next(sim._seq), self._process))
 
     @property
     def running(self) -> bool:
@@ -353,7 +359,7 @@ class Periodic(Event):
             return
         self.fn(sim._now)
         if self._running:
-            heappush(sim._heap, (sim._now + self.interval, next(sim._seq), self))
+            heappush(sim._heap, (sim._now + self.interval, next(sim._seq), self._process))
 
 
 class _ConditionValue:
@@ -557,7 +563,7 @@ class Process(Event):
                 target._defused = True
             relay._state = TRIGGERED
             relay.callbacks.append(self._resume_cb)
-            heappush(sim._heap, (sim._now, next(sim._seq), relay))
+            heappush(sim._heap, (sim._now, next(sim._seq), relay._process))
         else:
             self._target = target
             target.callbacks.append(self._resume_cb)
@@ -568,12 +574,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        # Heap entries are (time, seq, event).  Urgent events use negative
+        # Heap entries are (time, seq, fire): ``fire`` is a zero-argument
+        # callable — an event's bound ``_process``, or a bare callback
+        # pushed by :meth:`call_at`.  Urgent events use negative
         # sequence numbers, which sort before every normal entry at the
         # same instant (and LIFO among themselves) without a separate
         # priority field — one tuple slot and one comparison fewer on
         # every push/pop than the classic 4-tuple layout.
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         #: Processes ever started via :meth:`process` (tests use it to
@@ -645,7 +653,7 @@ class Simulator:
         event = Event(self)
         event._state = TRIGGERED
         event._value = value
-        heappush(self._heap, (when, next(self._seq) if seq is None else seq, event))
+        heappush(self._heap, (when, next(self._seq) if seq is None else seq, event._process))
         return event
 
     def claim_seq(self) -> int:
@@ -657,6 +665,18 @@ class Simulator:
         entered the heap.
         """
         return next(self._seq)
+
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` at the absolute instant ``when``.
+
+        The lightest heap entry: no :class:`Event`, no callbacks list,
+        nothing to wait on.  Callback-driven models (the CSMA/CD walk)
+        push their next step with it; it takes a fresh FIFO rank like
+        every other entry scheduled now.
+        """
+        if when < self._now:
+            raise ValueError(f"call_at(when={when}) is in the past (now={self._now})")
+        heappush(self._heap, (when, next(self._seq), fn))
 
     def every(
         self,
@@ -688,7 +708,7 @@ class Simulator:
     # -- scheduling -------------------------------------------------------------
     def _schedule(self, event: Event, delay: float, urgent: bool = False) -> None:
         seq = -next(self._seq) if urgent else next(self._seq)
-        heappush(self._heap, (self._now + delay, seq, event))
+        heappush(self._heap, (self._now + delay, seq, event._process))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -698,9 +718,9 @@ class Simulator:
         """Process exactly one event."""
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
-        when, _, event = heappop(self._heap)
+        when, _, fire = heappop(self._heap)
         self._now = when
-        event._process()
+        fire()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or the clock would pass ``until``.
@@ -715,14 +735,14 @@ class Simulator:
         try:
             if until is None:
                 while heap:
-                    when, _, event = pop(heap)
+                    when, _, fire = pop(heap)
                     self._now = when
-                    event._process()
+                    fire()
             else:
                 while heap and heap[0][0] <= until:
-                    when, _, event = pop(heap)
+                    when, _, fire = pop(heap)
                     self._now = when
-                    event._process()
+                    fire()
         except StopSimulation:
             return
         if until is not None:
@@ -742,9 +762,9 @@ class Simulator:
                     f"simulation stalled at t={self._now} with process "
                     f"{process.name!r} still alive"
                 )
-            when, _, event = pop(heap)
+            when, _, fire = pop(heap)
             self._now = when
-            event._process()
+            fire()
         if process._exception is not None:
             # Raising to the caller IS the observation: the completion
             # event is still queued, and without this it would re-raise

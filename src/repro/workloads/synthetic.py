@@ -150,10 +150,22 @@ class HotCold(Workload):
         self.seed = seed
 
     def trace(self) -> Iterator[Ref]:
+        # The stream is exactly ``region.page(rng.randrange(n))`` per
+        # reference, drawn the way CPython's randrange draws it
+        # (``_randbelow_with_getrandbits``: k-bit draws, rejected until
+        # below n), without its per-call argument handling.
         rng = random.Random(self.seed)
+        uniform = rng.random
+        getrandbits = rng.getrandbits
+        hot_fraction = self.hot_fraction
+        cpu = self.cpu_per_page
+        hot = (self.hot.start_page, self.hot.n_pages, self.hot.n_pages.bit_length())
+        cold = (self.cold.start_page, self.cold.n_pages, self.cold.n_pages.bit_length())
         for _ in range(self.n_refs):
-            if rng.random() < self.hot_fraction:
-                page = self.hot.page(rng.randrange(self.hot.n_pages))
-            else:
-                page = self.cold.page(rng.randrange(self.cold.n_pages))
-            yield (page, rng.random() < 0.3, self.cpu_per_page)
+            start, n, k = hot if uniform() < hot_fraction else cold
+            r = getrandbits(k)
+            while r >= n:
+                if not n:  # k == 0 draws 0 forever: refuse like randrange
+                    raise ValueError("cannot draw a page from an empty region")
+                r = getrandbits(k)
+            yield (start + r, uniform() < 0.3, cpu)

@@ -149,3 +149,32 @@ def test_hotcold_hot_dominates():
 def test_hotcold_validation():
     with pytest.raises(ValueError):
         HotCold(10, 10, 10, hot_fraction=2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize(
+    "hot_pages,cold_pages,hot_fraction",
+    [(1, 1, 0.5), (3, 64, 0.9), (120, 4096, 0.9995), (100, 129, 0.2), (255, 257, 0.0)],
+)
+def test_hotcold_stream_matches_randrange_formula(seed, hot_pages, cold_pages, hot_fraction):
+    """The inlined rejection draw yields the stream the ``Region.page``
+    + ``randrange`` formula gives, reference for reference."""
+    import random
+
+    wl = HotCold(hot_pages, cold_pages, n_refs=3000, hot_fraction=hot_fraction, seed=seed)
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(wl.n_refs):
+        if rng.random() < hot_fraction:
+            page = wl.hot.page(rng.randrange(wl.hot.n_pages))
+        else:
+            page = wl.cold.page(rng.randrange(wl.cold.n_pages))
+        expected.append((page, rng.random() < 0.3, wl.cpu_per_page))
+    assert list(wl.trace()) == expected
+
+
+def test_hotcold_empty_region_raises_instead_of_spinning():
+    wl = HotCold(hot_pages=4, cold_pages=4, n_refs=10, hot_fraction=1.0)
+    wl.hot.n_pages = 0
+    with pytest.raises(ValueError):
+        next(wl.trace())
