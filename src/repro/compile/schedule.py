@@ -38,7 +38,7 @@ __all__ = ["FaultSchedule"]
 
 @dataclass
 class FaultSchedule:
-    """A compiled reference stream, ready for ``Machine.run_schedule``."""
+    """A compiled reference stream, ready for ``Machine.run_plan``."""
 
     #: CPU-flush amounts (simulated seconds), all segments concatenated.
     chunk_cpu: List[float]

@@ -114,22 +114,13 @@ class Cluster:
             # for this run phase so sampling spans the whole workload.
             self.telemetry.ensure_running()
         plan = plan_run(self, workload)
-        if plan.schedule is None:
-            return self._finish(
-                self.machine.run_to_completion(workload.trace(), name=run_name)
-            )
-        return self._finish(
-            self.machine.run_schedule_to_completion(plan.schedule, name=run_name)
+        report = self.sim.run_until_complete(
+            self.machine.run_plan(workload, plan.schedule, name=run_name)
         )
-
-    def _finish(self, report):
-        """Close out telemetry for the run: final sample, health digest.
-
-        The health summary rides in ``report.meta["health"]`` so it
-        survives the runner's process pool and the result cache exactly
-        like ``meta["metrics"]`` does.
-        """
         if self.telemetry is not None:
+            # Close out telemetry: final sample, and the health digest in
+            # ``meta["health"]`` so it survives the runner's process pool
+            # and the result cache exactly like ``meta["metrics"]`` does.
             self.telemetry.finalize()
             if self.health is not None:
                 report.meta["health"] = self.health.summary()

@@ -150,41 +150,7 @@ class RemoteMemoryPager(Pager):
                     if old is not None and old != new:
                         self._inflight_previous[page_id] = old
                     self.checksums[page_id] = new
-                if self._network_degraded():
-                    span.phase("disk")
-                    yield from self._disk_pageout(page_id, contents)
-                    span.end("disk-fallback", reason="network-degraded")
-                    return
-                start = self.sim.now
-                span.phase("dispatch")
-                try:
-                    yield from self._policy_pageout(page_id, contents, span=span)
-                except (ServerUnavailable, SwapSpaceExhausted):
-                    # §2.1: no server has room — the disk absorbs the page.
-                    span.phase("disk")
-                    yield from self._disk_pageout(page_id, contents)
-                    span.end("disk-fallback", reason="no-server-room")
-                    return
-                except RequestTimeout as timeout:
-                    # The path (not the peer) failed: keep a definitive
-                    # copy on the local disk.  Any half-finished remote
-                    # placement is abandoned; the disk copy wins on the
-                    # next pagein.
-                    self.counters.add("timeout_fallback_pageouts")
-                    self.sim.tracer.emit(
-                        "pager", "pageout_timeout",
-                        page_id=page_id, dst=timeout.dst,
-                        attempts=timeout.attempts,
-                    )
-                    span.phase("disk")
-                    yield from self._disk_pageout(page_id, contents)
-                    span.end("disk-fallback", reason="request-timeout")
-                    return
-                span.phase("ack")
-                self._observe_transfer(self.sim.now - start)
-                self._on_disk.discard(page_id)
-                self._disk_contents.pop(page_id, None)
-                span.end("ok")
+                yield from self._place_pageout(page_id, contents, span)
             finally:
                 self._inflight_previous.pop(page_id, None)
                 self._daemon.release()
@@ -196,8 +162,8 @@ class RemoteMemoryPager(Pager):
 
         The ledger is updated *now* (the page is committed the moment the
         queue admits it); transmission, fallbacks, and recovery happen in
-        the queue's drainer, which reuses the synchronous path's policy
-        wrapper and disk fallbacks per entry (`PageoutQueue._transmit`).
+        the queue's drainer, which places each entry through the same
+        :meth:`_place_pageout` as the synchronous path.
         """
         self.counters.add("pageouts")
         if contents is not None:
@@ -209,6 +175,49 @@ class RemoteMemoryPager(Pager):
                 self._inflight_previous[page_id] = old
             self.checksums[page_id] = new
         yield from pipe.queue.enqueue(page_id, contents)
+
+    def _place_pageout(self, page_id: int, contents, span):
+        """Generator: place one pageout — the one placement routine the
+        paging daemon and the write-behind queue's drainer share.
+
+        Routes to the local disk when the §5 network threshold says the
+        network is degraded, when no server has room (§2.1), or when the
+        request path times out; otherwise the policy places the page
+        (recovering crashes inside :meth:`_policy_pageout`) and the ack
+        drops any older disk copy.  Ends ``span`` on every normal exit.
+        """
+        if self._network_degraded():
+            span.phase("disk")
+            yield from self._disk_pageout(page_id, contents)
+            span.end("disk-fallback", reason="network-degraded")
+            return
+        start = self.sim.now
+        span.phase("dispatch")
+        try:
+            yield from self._policy_pageout(page_id, contents, span=span)
+        except (ServerUnavailable, SwapSpaceExhausted):
+            # §2.1: no server has room — the disk absorbs the page.
+            reason = "no-server-room"
+        except RequestTimeout as timeout:
+            # The path (not the peer) failed: keep a definitive copy on
+            # the local disk.  Any half-finished remote placement is
+            # abandoned; the disk copy wins on the next pagein.
+            self.counters.add("timeout_fallback_pageouts")
+            self.sim.tracer.emit(
+                "pager", "pageout_timeout",
+                page_id=page_id, dst=timeout.dst, attempts=timeout.attempts,
+            )
+            reason = "request-timeout"
+        else:
+            span.phase("ack")
+            self._observe_transfer(self.sim.now - start)
+            self._on_disk.discard(page_id)
+            self._disk_contents.pop(page_id, None)
+            span.end("ok")
+            return
+        span.phase("disk")
+        yield from self._disk_pageout(page_id, contents)
+        span.end("disk-fallback", reason=reason)
 
     def _pageout_settled(self, page_id: int, contents) -> None:
         """Queue callback: one write-behind entry finished transmitting."""
@@ -242,22 +251,10 @@ class RemoteMemoryPager(Pager):
                 self.sim.sampler.observe("pager.pagein", self.sim.now - start)
                 return contents
             span.phase("dispatch")
-            crashed_seen: Set[str] = set()
             try:
-                while True:
-                    try:
-                        contents = yield from self.policy.pagein(page_id, span=span)
-                        break
-                    except ServerCrashed as crash:
-                        # As in _policy_pageout: distinct crashes may
-                        # surface one per retry; a repeating name means
-                        # recovery cannot close the hole.
-                        if crash.server_name in crashed_seen:
-                            raise
-                        crashed_seen.add(crash.server_name)
-                        span.phase("recovery")
-                        yield from self._handle_crash(crash)
-                        span.phase("dispatch")
+                contents = yield from self._retry_crashes(
+                    self.policy.pagein, span, "dispatch", page_id
+                )
             except RequestTimeout as timeout:
                 # Unlike a crash there is nothing to recover — the server
                 # may be fine behind a lossy path.  Surface it; the VM (or
@@ -359,17 +356,11 @@ class RemoteMemoryPager(Pager):
         def verify(candidate: bytes) -> bool:
             return page_checksum(candidate) == expected
 
-        while True:
-            try:
-                clean = yield from self.policy.scrub_page(page_id, verify, span=span)
-            except ServerCrashed as crash:
-                # The scrub tripped over an undetected crash in the page's
-                # redundancy group: recover it, then scrub again.
-                span.phase("recovery")
-                yield from self._handle_crash(crash)
-                span.phase("scrub")
-                continue
-            break
+        # A crash in the page's redundancy group surfaces here as an
+        # undetected crash: recover it, then scrub again.
+        clean = yield from self._retry_crashes(
+            self.policy.scrub_page, span, "scrub", page_id, verify
+        )
         if clean is None:
             self.counters.add("corrupt_unrepaired")
             raise PageCorrupted(page_id, getattr(self.policy, "name", "unknown"))
@@ -414,25 +405,33 @@ class RemoteMemoryPager(Pager):
     def _policy_pageout(self, page_id: int, contents, span=NULL_SPAN):
         self._inflight_pageouts.add(page_id)
         try:
-            crashed_seen: Set[str] = set()
-            while True:
-                try:
-                    yield from self.policy.pageout(page_id, contents, span=span)
-                    return
-                except ServerCrashed as crash:
-                    # Multi-failure campaigns can surface a *different*
-                    # crash on each retry (erasure placements span k+m
-                    # servers); recover and retry until the same hole
-                    # repeats — then the fault exceeds what recovery can
-                    # fix and must escape.
-                    if crash.server_name in crashed_seen:
-                        raise
-                    crashed_seen.add(crash.server_name)
-                    span.phase("recovery")
-                    yield from self._handle_crash(crash)
-                    span.phase("dispatch")
+            yield from self._retry_crashes(
+                self.policy.pageout, span, "dispatch", page_id, contents
+            )
         finally:
             self._inflight_pageouts.discard(page_id)
+
+    def _retry_crashes(self, request, span, phase: str, *args):
+        """Generator: ``request(*args, span=span)``, recovering each
+        distinct crash it surfaces once and retrying.
+
+        Multi-failure campaigns can surface a *different* crash on each
+        retry (erasure placements span k+m servers); a repeating name
+        means recovery cannot close the hole — the fault exceeds what
+        recovery can fix and escapes.  ``span`` shows ``recovery``, then
+        ``phase`` again for the retry.
+        """
+        crashed_seen: Set[str] = set()
+        while True:
+            try:
+                return (yield from request(*args, span=span))
+            except ServerCrashed as crash:
+                if crash.server_name in crashed_seen:
+                    raise
+                crashed_seen.add(crash.server_name)
+                span.phase("recovery")
+                yield from self._handle_crash(crash)
+                span.phase(phase)
 
     def _handle_crash(self, crash: ServerCrashed):
         """Run the policy's recovery exactly once per crash event.
@@ -518,6 +517,16 @@ class RemoteMemoryPager(Pager):
             self._recovering = False
             self._recovery_done.succeed()
 
+    def _active_server(self, name: str) -> Optional[MemoryServer]:
+        """The policy's server (data or parity) called ``name``, if any."""
+        for server in self.policy.servers:
+            if server.name == name:
+                return server
+        parity = getattr(self.policy, "parity_server", None)
+        if parity is not None and parity.name == name:
+            return parity
+        return None
+
     def _still_dead(self, name: str) -> bool:
         """Is ``name`` still in the active set yet not alive?
 
@@ -525,22 +534,12 @@ class RemoteMemoryPager(Pager):
         crash (it failed before retiring the server); False means the
         server was retired/re-homed or was never this policy's problem.
         """
-        for server in self.policy.servers:
-            if server.name == name:
-                return not server.is_alive
-        parity = getattr(self.policy, "parity_server", None)
-        if parity is not None and parity.name == name:
-            return not parity.is_alive
-        return False
+        server = self._active_server(name)
+        return server is not None and not server.is_alive
 
     def _find_crashed(self, name: str) -> Optional[MemoryServer]:
-        for server in self.policy.servers:
-            if server.name == name:
-                return server
-        parity = getattr(self.policy, "parity_server", None)
-        if parity is not None and parity.name == name:
-            return parity
-        return self._dead_servers.get(name)
+        server = self._active_server(name)
+        return server if server is not None else self._dead_servers.get(name)
 
     def _retire(self, crashed: MemoryServer) -> None:
         self._dead_servers[crashed.name] = crashed

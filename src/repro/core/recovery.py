@@ -9,8 +9,6 @@ UPS-handled, and network partitions block rather than crash).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Process, Simulator
 from .server import MemoryServer
 
@@ -36,9 +34,7 @@ class CrashInjector:
             self._crash(server, at_time), name=f"crash:{server.name}"
         )
 
-    def crash_after_pageouts(
-        self, server: MemoryServer, pageouts: int, poll: Optional[float] = None
-    ) -> None:
+    def crash_after_pageouts(self, server: MemoryServer, pageouts: int) -> None:
         """Kill ``server`` the instant it finishes its ``pageouts``-th
         pageout — deterministic mid-workload fault injection.
 
@@ -46,7 +42,6 @@ class CrashInjector:
         polling process clutters the kernel's heap and the crash lands at
         the exact store that crosses the threshold (the old 10 ms poll
         could let extra pageouts slip through the detection window).
-        ``poll`` is accepted for backward compatibility and ignored.
         """
         if pageouts < 0:
             raise ValueError(f"negative pageout count: {pageouts}")

@@ -42,7 +42,7 @@ def run_fig2(
     for name in apps:
         if name not in WORKLOAD_FACTORIES:
             raise KeyError(name)
-    return run_suite({name: name for name in apps}, policies, runner=runner)
+    return run_suite(apps, policies, runner=runner)
 
 
 def render_fig2(reports: Dict[str, Dict[str, object]]) -> str:

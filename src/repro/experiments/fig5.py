@@ -33,7 +33,7 @@ def run_fig5(
     for name in apps:
         if name not in _FACTORIES:
             raise KeyError(name)
-    return run_suite({name: name for name in apps}, policies, runner=runner)
+    return run_suite(apps, policies, runner=runner)
 
 
 def render_fig5(reports: Dict[str, Dict[str, object]]) -> str:

@@ -10,10 +10,11 @@ that affordable:
 * the **analytic switched fabric** (``net/switched.py``): disjoint
   port pairs hold analytically, so an uncontended page transfer costs
   one kernel event instead of a five-step resource walk;
-* **multi-machine compiled replay** (``compile.plan_fleet``): each
-  client's reliability-blind fault schedule compiles once (identical
-  clients share the object) and replays as interleaved merged-chunk
-  segments, reconciling only at the shared donors and fabric ports;
+* **multi-machine compiled replay** (``compile.plan_fleet`` +
+  ``Machine.run_plan``): each client's reliability-blind fault schedule
+  compiles once (identical clients share the object) and replays as
+  interleaved merged-chunk segments, reconciling only at the shared
+  donors and fabric ports;
 * per-client **server instances** on shared donor workstations — "a
   new instance of the server" per client (§3.2), "clients never share
   their swap spaces" (§6) — which is exactly the isolation that makes
@@ -243,9 +244,11 @@ def run_fleet(
 
     ``workload`` is a registry name plus factory kwargs (e.g.
     ``("gauss", {"n": 400})``).  Returns per-client reports plus the
-    cluster-wide scoreboard; the run itself goes through
-    :func:`repro.compile.plan_fleet`, so eligible clients replay
-    compiled schedules and couplings fall back with traced reasons.
+    cluster-wide scoreboard.  :func:`repro.compile.plan_fleet` decides
+    per client (couplings fall back with traced reasons) and every
+    client starts through :meth:`Machine.run_plan` — replaying its
+    compiled schedule or interpreting its trace through the same fault
+    service, exactly as ``Cluster.run`` does for one machine.
     """
     from ..compile import plan_fleet
     from ..runner.registry import make_workload

@@ -9,24 +9,19 @@ write-through comparison of Figure 5):
 * DISK — the local DEC RZ55, no pager involvement;
 * WRITE THROUGH — remote memory as a write-through cache of the disk.
 
-Execution routes through :mod:`repro.runner`: a workload named by its
-registry string becomes a picklable :class:`~repro.runner.RunSpec`, so
-suites parallelise over worker processes and hit the on-disk result
-cache.  Callable factories and ad-hoc ``cluster_hook`` closures are
-still accepted — those run inline in this process (they cannot be
-shipped to workers or fingerprinted), exactly as the harness always
-did.
+Execution routes through :mod:`repro.runner` only: a workload and a
+cluster hook are named by their registry strings, so every cell becomes
+a picklable :class:`~repro.runner.RunSpec` that parallelises over
+worker processes, hits the on-disk result cache, and is built, run and
+stamped by the one :func:`~repro.runner.execute.execute_spec`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Iterable, Optional
 
-from ..core.builder import Cluster, build_cluster
-from ..runner import RunSpec, default_runner
-from ..runner.execute import build_meta
+from ..runner import default_runner
 from ..vm.machine import CompletionReport
-from ..workloads.base import Workload
 
 __all__ = ["PAPER_CONFIGS", "run_policy", "run_suite", "merged_metrics"]
 
@@ -39,93 +34,44 @@ PAPER_CONFIGS: Dict[str, dict] = {
     "write-through": dict(policy="write-through", n_servers=2),
 }
 
-#: Either a registry name (parallel/cacheable) or a callable (inline).
-WorkloadRef = Union[str, Callable[[], Workload]]
-
 
 def run_policy(
-    workload_factory: WorkloadRef,
+    workload: str,
     policy: str,
-    cluster_hook: Optional[Callable[[Cluster], None]] = None,
+    cluster_hook: Optional[str] = None,
     runner=None,
     **overrides,
 ) -> CompletionReport:
-    """Run one workload under one paper configuration.
+    """Run one registered workload (``"gauss"``) under one paper
+    configuration.
 
-    ``workload_factory`` may be a registry name (``"gauss"``), which
-    routes through the experiment runner (cache-aware), or any zero-arg
-    callable, which runs inline.  ``cluster_hook`` runs after assembly
-    and before the workload starts — experiments use it to attach
-    background load, crash injectors, etc.; passing one forces the
-    inline path.
+    ``cluster_hook`` names a hook registered with
+    :func:`repro.runner.registry.register_hook`; it runs after assembly
+    and before the workload starts — experiments use hooks to attach
+    background load, crash injectors, etc.
     """
-    if isinstance(workload_factory, str) and cluster_hook is None:
-        spec = RunSpec.make(workload_factory, policy, overrides=overrides)
-        return (runner or default_runner()).run_one(spec).report
-
-    kwargs = dict(PAPER_CONFIGS[policy])
-    kwargs.update(overrides)
-    cluster = build_cluster(**kwargs)
-    if cluster_hook is not None:
-        cluster_hook(cluster)
-    if isinstance(workload_factory, str):
-        from ..runner.registry import make_workload
-
-        workload = make_workload(workload_factory, {})
-    else:
-        workload = workload_factory()
-    report = cluster.run(workload)
-    health = report.meta.get("health")
-    report.meta = build_meta(policy, kwargs.get("seed", 0), overrides, workload.name)
-    report.meta["metrics"] = cluster.metrics.snapshot()
-    if health is not None:
-        report.meta["health"] = health
-    return report
+    reports = run_suite([workload], [policy], cluster_hook, runner, **overrides)
+    return reports[workload][policy]
 
 
 def run_suite(
-    workload_factories: Dict[str, WorkloadRef],
-    policies,
-    cluster_hook: Optional[Callable[[Cluster], None]] = None,
+    workloads: Iterable[str],
+    policies: Iterable[str],
+    cluster_hook: Optional[str] = None,
     runner=None,
     **overrides,
 ) -> Dict[str, Dict[str, CompletionReport]]:
-    """Run a matrix of workloads x policies; returns nested reports.
+    """Run a matrix of registered workloads x policies; returns nested
+    reports keyed by workload name, then policy.
 
-    When every workload is a registry name and there is no ad-hoc hook,
-    the whole matrix is handed to the experiment runner in one batch —
+    The whole matrix is handed to the experiment runner in one batch —
     cells run in parallel under ``--jobs N`` and cached cells are
-    skipped.  Results are assembled in matrix order either way, so the
-    output is independent of completion order.
+    skipped.  Results are assembled in matrix order, so the output is
+    independent of completion order.
     """
-    all_named = all(isinstance(ref, str) for ref in workload_factories.values())
-    if all_named and cluster_hook is None:
-        runner = runner or default_runner()
-        apps = list(workload_factories)
-        policies = list(policies)
-        specs = [
-            RunSpec.make(
-                workload_factories[app],
-                policy,
-                overrides=overrides,
-                label=f"{app}/{policy}",
-            )
-            for app in apps
-            for policy in policies
-        ]
-        flat = iter(runner.run(specs))
-        return {
-            app: {policy: next(flat).report for policy in policies} for app in apps
-        }
-
-    results: Dict[str, Dict[str, CompletionReport]] = {}
-    for app_name, factory in workload_factories.items():
-        results[app_name] = {}
-        for policy in policies:
-            results[app_name][policy] = run_policy(
-                factory, policy, cluster_hook=cluster_hook, **overrides
-            )
-    return results
+    return (runner or default_runner()).run_matrix(
+        workloads, policies, overrides=overrides, hook=cluster_hook
+    )
 
 
 def merged_metrics(reports) -> Dict[str, object]:

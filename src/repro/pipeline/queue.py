@@ -23,10 +23,11 @@ clustering):
   the same invariant the synchronous daemon's capacity-1 resource
   provided, relocated rather than relaxed.
 
-Failure semantics mirror the synchronous path *per entry*: no server
-room or a request timeout routes that entry to the local disk; a crash
-mid-drain runs the pager's single-flight recovery and retries.  Entries
-are never dropped — the machine's end-of-run drain barrier
+Failure semantics are the synchronous path's own, *per entry*: each
+entry goes through the pager's one placement routine, so no server room
+or a request timeout routes it to the local disk and a crash mid-drain
+runs the pager's single-flight recovery and retries.  Entries are never
+dropped — the machine's end-of-run drain barrier
 (:meth:`wait_idle`) holds completion until the queue is empty.
 """
 
@@ -35,13 +36,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-from ..errors import RequestTimeout, ServerUnavailable, SwapSpaceExhausted
-from ..log import get_logger
 from ..sim import Counter, Tally
 
 __all__ = ["PageoutQueue"]
-
-log = get_logger(__name__)
 
 
 class _Entry:
@@ -179,44 +176,14 @@ class PageoutQueue:
                 self._notify_if_idle()
 
     def _transmit(self, entry: _Entry):
-        """Generator: one entry through the policy, synchronous-path
-        fallbacks intact (disk on no-room / path timeout; crash recovery
-        inside ``_policy_pageout``)."""
+        """Generator: place one entry exactly as the synchronous path
+        would (``RemoteMemoryPager._place_pageout``)."""
         pager = self.pager
-        sim = self.sim
         page_id = entry.page_id
-        self.queue_delay.observe(sim.now - entry.enqueued_at)
-        span = sim.tracer.span("pageout", page_id)
-        span.phase("dispatch")
+        self.queue_delay.observe(self.sim.now - entry.enqueued_at)
+        span = self.sim.tracer.span("pageout", page_id)
         try:
-            if pager._network_degraded():
-                span.phase("disk")
-                yield from pager._disk_pageout(page_id, entry.contents)
-                span.end("disk-fallback", reason="network-degraded")
-                return
-            start = sim.now
-            try:
-                yield from pager._policy_pageout(page_id, entry.contents, span=span)
-            except (ServerUnavailable, SwapSpaceExhausted):
-                span.phase("disk")
-                yield from pager._disk_pageout(page_id, entry.contents)
-                span.end("disk-fallback", reason="no-server-room")
-                return
-            except RequestTimeout as timeout:
-                pager.counters.add("timeout_fallback_pageouts")
-                sim.tracer.emit(
-                    "pager", "pageout_timeout",
-                    page_id=page_id, dst=timeout.dst, attempts=timeout.attempts,
-                )
-                span.phase("disk")
-                yield from pager._disk_pageout(page_id, entry.contents)
-                span.end("disk-fallback", reason="request-timeout")
-                return
-            span.phase("ack")
-            pager._observe_transfer(sim.now - start)
-            pager._on_disk.discard(page_id)
-            pager._disk_contents.pop(page_id, None)
-            span.end("ok")
+            yield from pager._place_pageout(page_id, entry.contents, span)
         finally:
             span.end("error")  # no-op unless an exception escaped
             pager._pageout_settled(page_id, entry.contents)

@@ -65,8 +65,9 @@ def build_meta(
 ) -> Dict[str, Any]:
     """Provenance dict stamped on every CompletionReport.
 
-    Shared between the runner path and the legacy ``run_policy`` path so
-    serial and parallel runs of the same cell produce identical reports.
+    Stamped by :func:`execute_spec` — the one path serial, parallel and
+    cached runs share — and by the traced §4.3 breakdown run, which must
+    stay inline because a tracer cannot cross worker processes.
     """
     return {
         "workload": workload_name,

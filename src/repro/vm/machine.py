@@ -182,43 +182,28 @@ class Machine:
         """Convenience: run ``trace`` and drive the simulator to its end."""
         return self.sim.run_until_complete(self.run(trace, name))
 
-    def run_schedule(self, schedule, name: str = "workload") -> Process:
-        """Start replaying a compiled fault schedule (see ``repro.compile``).
-
-        The replay path issues *exactly* the simulation-event sequence of
-        :meth:`run` on the schedule's source trace — the same CPU-flush
-        timeouts, the same fault-service charges, pageouts, and pageins,
-        in the same order — so every report field, counter, metric, and
-        downstream RNG draw is bit-identical.  What it skips is the
-        per-reference Python between those events (page-table lookups and
-        replacement-policy touches for resident hits), making sim work
-        O(faults) instead of O(references).
-        """
-        return self.sim.process(
-            self._execute_schedule(schedule, name), name=f"run:{name}"
-        )
-
     def run_plan(self, workload, schedule=None, name: Optional[str] = None) -> Process:
-        """Dispatch one fleet client: replay ``schedule`` when the
-        planner produced one, else interpret ``workload``'s trace.
+        """Start ``workload``: replay ``schedule`` when the planner
+        produced one (see ``repro.compile``), else interpret its trace.
 
-        This is the per-client arm of multi-machine replay (see
-        :func:`repro.compile.plan_fleet`): N machines on one kernel each
-        replay their own reliability-blind schedule as interleaved
-        merged-chunk segments, reconciling only where they actually
-        meet — the shared fabric's port resources and the donor servers
-        — because fault service still drives the real pager datapath.
+        Replay issues *exactly* the simulation-event sequence of
+        :meth:`run` on the schedule's source trace — the same CPU-flush
+        timeouts and the same :meth:`_service_fault` calls, in the same
+        order — so every report field, counter, metric, and downstream
+        RNG draw is bit-identical.  What it skips is the per-reference
+        Python between those events (page-table lookups and
+        replacement-policy touches for resident hits), making sim work
+        O(faults) instead of O(references).  N machines on one kernel
+        (:func:`repro.compile.plan_fleet`) each replay their own
+        reliability-blind schedule, reconciling only where they meet —
+        the shared fabric's ports and the donor servers.
         """
         label = name if name is not None else getattr(workload, "name", "workload")
-        if schedule is not None:
-            return self.run_schedule(schedule, name=label)
-        return self.run(workload.trace(), name=label)
-
-    def run_schedule_to_completion(
-        self, schedule, name: str = "workload"
-    ) -> CompletionReport:
-        """Convenience: replay ``schedule`` and drive the simulator."""
-        return self.sim.run_until_complete(self.run_schedule(schedule, name))
+        if schedule is None:
+            return self.run(workload.trace(), name=label)
+        return self.sim.process(
+            self._execute_schedule(schedule, label), name=f"run:{label}"
+        )
 
     @property
     def resident_count(self) -> int:
@@ -282,7 +267,17 @@ class Machine:
                 self._utime += pending_cpu
                 yield self.sim.timeout(pending_cpu)
                 pending_cpu = 0.0
-            yield from self._service_fault(pte, is_write, user_frames)
+            yield from self._service_fault(
+                page_id, is_write, self._evict_batch(user_frames), pte.on_backing_store
+            )
+            # A non-resident entry is always clean, so a write only needs
+            # the dirty bit here; _service_fault already bumped the version.
+            if not pte.resident:
+                pte.resident = True
+                policy.insert(page_id)
+            pte.referenced = True
+            if is_write:
+                pte.dirty = True
 
         if touches:
             policy.touch_batch(touches)
@@ -344,8 +339,8 @@ class Machine:
             if s < n_faults:
                 flags = fault_flags[s]
                 nv = victim_lens[s]
-                yield from self._service_fault_compiled(
-                    fault_page[s], flags & 1, flags & 2, victims[vi:vi + nv]
+                yield from self._service_fault(
+                    fault_page[s], flags & 1, victims[vi:vi + nv], flags & 2
                 )
                 vi += nv
 
@@ -353,44 +348,6 @@ class Machine:
         yield from self._drain_tail()
         replay_span.end("ok", faults=schedule.n_faults, refs=schedule.n_refs)
         return self._report(name, start)
-
-    def _service_fault_compiled(self, page_id: int, is_write, needs_pagein, pageouts):
-        """Replay one recorded fault: identical event sequence to
-        :meth:`_service_fault`, with eviction decisions precomputed."""
-        fault_start = self.sim.now
-        self.counters.add("faults")
-        fault_cpu = self.spec.fault_service_cpu / self.spec.cpu_speed
-        self._systime += fault_cpu
-        yield self.sim.timeout(fault_cpu)
-
-        span = self.sim.tracer.span("fault", page_id, component="machine")
-        span.phase("evict")
-
-        for victim_id in pageouts:
-            contents = self.versioner.contents(victim_id)
-            yield from self._start_pageout(victim_id, contents, span)
-            self.counters.add("pageouts")
-
-        inflight = self._inflight_by_page.get(page_id)
-        if inflight is not None:
-            span.phase("writeback_wait")
-            yield inflight
-
-        if needs_pagein:
-            span.phase("pagein")
-            contents = yield from self.pager.pagein(page_id)
-            self.counters.add("pageins")
-            if self.content_mode:
-                self._verify(page_id, contents)
-        else:
-            self.counters.add("zero_fills")
-        span.end("ok")
-
-        if is_write:
-            self.versioner.bump(page_id)
-        # Same hook as the interpreted path: with telemetry off this is
-        # the kernel's no-op NullSampler.
-        self.sim.sampler.observe_fault(self.sim.now - fault_start)
 
     def _restore_schedule_state(self, schedule) -> None:
         """Leave the machine exactly as interpreted execution would have:
@@ -418,79 +375,87 @@ class Machine:
             yield from self.pager.drain()
             span.end("ok")
 
-    def _service_fault(self, pte, is_write: bool, user_frames: int):
-        """Fault path: evict if full (async pageout of a dirty victim),
-        then page in."""
-        fault_start = self.sim.now
+    def _evict_batch(self, user_frames: int):
+        """Generator: when the free-page pool is empty, the paging daemon
+        evicts a batch so dirty writebacks cluster in the device queue;
+        yields each dirty victim (already marked non-resident and on
+        backing store) for :meth:`_service_fault` to page out.  Lazy, so
+        each eviction happens only after the previous victim's pageout
+        has claimed a window slot."""
+        policy = self.replacement
+        if len(policy) < user_frames:
+            return
+        page_table = self.page_table
+        for _ in range(min(self.free_batch, len(policy))):
+            victim_id = policy.evict()
+            victim = page_table.entry(victim_id)
+            victim.resident = False
+            if victim.dirty:
+                victim.dirty = False
+                victim.on_backing_store = True
+                yield victim_id
+
+    def _service_fault(self, page_id: int, is_write, dirty_victims, needs_pagein):
+        """Fault path: page out ``dirty_victims`` (async, window
+        permitting), then page in or zero-fill ``page_id``.
+
+        The one fault service both execution paths share: the interpreted
+        loop passes :meth:`_evict_batch`'s live evictions and keeps the
+        faulting page's table entry and replacement position itself;
+        compiled replay passes the recorded victim batch.  A write bumps
+        the page's version (its entry is clean on arrival).
+        """
+        sim = self.sim
+        fault_start = sim.now
         self.counters.add("faults")
         fault_cpu = self.spec.fault_service_cpu / self.spec.cpu_speed
         self._systime += fault_cpu
-        yield self.sim.timeout(fault_cpu)
+        yield sim.timeout(fault_cpu)
 
         # The fault span opens AFTER the fault-service CPU charge, so it
         # covers exactly the time the machine stalls on the paging device
         # (neither utime nor systime).  The machine runs one sequential
         # reference stream, so the fault spans plus the end-of-run drain
         # span partition the run's measured paging time (ptime) exactly.
-        span = self.sim.tracer.span("fault", pte.page_id, component="machine")
+        span = sim.tracer.span("fault", page_id, component="machine")
         span.phase("evict")
-
-        policy = self.replacement
-        page_table = self.page_table
-        if len(policy) >= user_frames:
-            # Free-page pool empty: the paging daemon evicts a batch so
-            # dirty writebacks cluster in the device queue.
-            batch = min(self.free_batch, len(policy))
-            for _ in range(batch):
-                victim_id = policy.evict()
-                victim = page_table.entry(victim_id)
-                victim.resident = False
-                if victim.dirty:
-                    victim.dirty = False
-                    victim.on_backing_store = True
-                    contents = self.versioner.contents(victim_id)
-                    yield from self._start_pageout(victim_id, contents, span)
-                    self.counters.add("pageouts")
+        for victim_id in dirty_victims:
+            contents = self.versioner.contents(victim_id)
+            yield from self._start_pageout(victim_id, contents, span)
+            self.counters.add("pageouts")
 
         # A fault on a page whose pageout is still in flight must wait for
         # the write-back to land (the backing store does not hold it yet).
-        inflight = self._inflight_by_page.get(pte.page_id)
+        inflight = self._inflight_by_page.get(page_id)
         if inflight is not None:
             span.phase("writeback_wait")
             yield inflight
 
-        prefetching = self._prefetching.get(pte.page_id)
+        prefetching = self._prefetching.get(page_id)
         if prefetching is not None:
             # A read-ahead already has this page on the way; its arrival
             # (not this fault) makes the page resident.
             span.phase("pagein")
             yield prefetching
             self.counters.add("prefetch_hits")
-        elif pte.on_backing_store:
+        elif needs_pagein:
             span.phase("pagein")
-            contents = yield from self.pager.pagein(pte.page_id)
+            contents = yield from self.pager.pagein(page_id)
             self.counters.add("pageins")
             if self.content_mode:
-                self._verify(pte.page_id, contents)
+                self._verify(page_id, contents)
         else:
             # First touch: zero-filled, no backing-store traffic.
             self.counters.add("zero_fills")
         span.end("ok")
 
         if self.prefetch:
-            self._note_fault_for_prefetch(pte.page_id, user_frames)
-
-        if not pte.resident:
-            pte.resident = True
-            pte.dirty = False
-            policy.insert(pte.page_id)
-        pte.referenced = True
-        if is_write and not pte.dirty:
-            pte.dirty = True
-            self.versioner.bump(pte.page_id)
+            self._note_fault_for_prefetch(page_id, self.spec.user_frames)
+        if is_write:
+            self.versioner.bump(page_id)
         # Per-fault service latency for the telemetry histogram; the
         # kernel's NullSampler makes this free when telemetry is off.
-        self.sim.sampler.observe_fault(self.sim.now - fault_start)
+        sim.sampler.observe_fault(sim.now - fault_start)
 
     def _start_pageout(self, page_id: int, contents, span=None):
         """Launch an asynchronous pageout, respecting the in-flight window.

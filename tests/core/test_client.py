@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_cluster
-from repro.errors import SwapSpaceExhausted
+from repro.errors import ServerCrashed, SwapSpaceExhausted
 from repro.vm import page_bytes
 
 PAGE = 8192
@@ -172,3 +172,49 @@ def test_transfers_property_reflects_policy():
     pageout(cluster, 1)
     pagein(cluster, 1)
     assert cluster.pager.transfers == cluster.policy.transfers == 2
+
+
+class _AlwaysCrashingScrub:
+    """A policy whose scrub trips over the same crashed server every time.
+
+    After a few calls it raises a sentinel instead, so a retry loop
+    without the repeating-name rule fails fast rather than spinning.
+    """
+
+    name = "always-crashing-scrub"
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.servers = []
+        self.scrub_calls = 0
+
+    def scrub_page(self, page_id, verify, span=None):
+        self.scrub_calls += 1
+        if self.scrub_calls > 4:
+            raise AssertionError("scrub retried the same crash without bound")
+        yield self.sim.timeout(0.001)
+        raise ServerCrashed("server-0")
+
+
+def test_scrub_crash_repeating_after_recovery_escapes():
+    from repro.core.client import RemoteMemoryPager
+    from repro.sim import Simulator
+    from repro.vm.page import page_checksum
+
+    sim = Simulator()
+    policy = _AlwaysCrashingScrub(sim)
+    pager = RemoteMemoryPager(policy)
+    recovered = []
+
+    def stub_recovery(crash):
+        recovered.append(crash.server_name)
+        yield sim.timeout(0.001)
+
+    pager._handle_crash = stub_recovery
+    pager.checksums[7] = page_checksum(page_bytes(7, 1, PAGE))
+    rotten = page_bytes(7, 2, PAGE)  # fails the end-to-end checksum
+    with pytest.raises(ServerCrashed):
+        sim.run_until_complete(sim.process(pager._verified(7, rotten)))
+    # One recovery of server-0; the retry hit the same hole and escaped.
+    assert recovered == ["server-0"]
+    assert policy.scrub_calls == 2

@@ -1,14 +1,15 @@
 """Write-behind queue unit tests against a scripted fake pager.
 
-The fake records exactly what the queue hands the reliability policy, so
-these tests pin the queue's contracts in isolation: zero-time admission,
-in-place coalescing, FIFO batch drain, backlog back-pressure, release
-semantics, and the disk fallbacks.
+The fake's placement routine records exactly what the queue hands the
+pager, so these tests pin the queue's contracts in isolation: zero-time
+admission, in-place coalescing, FIFO batch drain, backlog
+back-pressure, and release semantics.  The placement routine itself
+(disk fallbacks included) is tested on the real pager in
+``tests/core/test_pageout_placement.py``.
 """
 
 import pytest
 
-from repro.errors import RequestTimeout
 from repro.pipeline import PageoutQueue, PipelineSpec
 from repro.sim import Counter, Simulator, Tally
 
@@ -39,37 +40,17 @@ class FakePolicy:
 class FakePager:
     """Just enough pager surface for PageoutQueue._transmit."""
 
-    def __init__(self, sim, send_time=0.001, fail=None):
+    def __init__(self, sim, send_time=0.001):
         self.sim = sim
         self.policy = FakePolicy(FakeStack())
-        self.counters = Counter()
-        self.checksums = {}
-        self._on_disk = set()
-        self._disk_contents = {}
         self.sent = []
-        self.disk = []
         self.settled = []
         self.send_time = send_time
-        self.fail = fail or {}
 
-    def _network_degraded(self):
-        return False
-
-    def _policy_pageout(self, page_id, contents, span=None):
+    def _place_pageout(self, page_id, contents, span):
         yield self.sim.timeout(self.send_time)
-        exc = self.fail.pop(page_id, None)
-        if exc is not None:
-            raise exc
         self.policy.stack.record(page_id)
         self.sent.append((page_id, contents))
-
-    def _disk_pageout(self, page_id, contents):
-        yield self.sim.timeout(self.send_time)
-        self.disk.append((page_id, contents))
-        self._on_disk.add(page_id)
-
-    def _observe_transfer(self, elapsed):
-        pass
 
     def _pageout_settled(self, page_id, contents):
         self.settled.append(page_id)
@@ -188,24 +169,6 @@ def test_lookup_prefers_queued_over_sending():
     assert queue.counters["coalesced"] == 0
 
 
-def test_request_timeout_falls_back_to_disk_and_settles():
-    sim = Simulator()
-    pager = FakePager(sim, fail={3: RequestTimeout("server-0", attempts=3)})
-    queue = make_queue(sim, pager)
-
-    def producer():
-        yield from queue.enqueue(3, b"doomed")
-        yield from queue.enqueue(4, b"fine")
-        yield from queue.wait_idle()
-
-    drive(sim, producer())
-    assert pager.disk == [(3, b"doomed")]
-    assert pager.sent == [(4, b"fine")]
-    assert pager.counters["timeout_fallback_pageouts"] == 1
-    assert sorted(pager.settled) == [3, 4]  # every entry settles, even fallbacks
-    assert queue.pending == 0
-
-
 def test_wait_idle_blocks_until_everything_settled():
     sim = Simulator()
     pager = FakePager(sim, send_time=0.01)
@@ -221,4 +184,5 @@ def test_wait_idle_blocks_until_everything_settled():
     drive(sim, producer())
     assert queue.pending == 0
     assert len(pager.sent) == 4
+    assert sorted(pager.settled) == [0, 1, 2, 3]  # every entry settles
     assert done and done[0] == pytest.approx(0.04)
