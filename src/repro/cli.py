@@ -279,10 +279,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Execution flags shared by every subcommand: how many worker
-    # processes to fan independent runs over, and whether/where to use
-    # the on-disk result cache.
-    runner_flags = argparse.ArgumentParser(add_help=False)
+    # Flags every subcommand takes: host-time profiling and the
+    # observability of the run itself.
+    common_flags = argparse.ArgumentParser(add_help=False)
+    obs_group = common_flags.add_argument_group("observability")
+    obs_group.add_argument(
+        "--profile", default=None, metavar="PATH",
+        help="profile the whole subcommand under cProfile and write a "
+        "pstats dump to PATH (inspect with 'python -m pstats PATH')",
+    )
+    obs_group.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="record a structured event/span trace to PATH (JSONL) plus a "
+        "Chrome trace-viewer file; runs through the experiment runner go "
+        "serial and uncached (--jobs 1, --no-cache)",
+    )
+    obs_group.add_argument(
+        "-v", "--verbose", action="count", default=0,
+        help="log progress to stderr (-v info, -vv debug)",
+    )
+    obs_group.add_argument(
+        "-q", "--quiet", action="store_true",
+        help="suppress warnings; errors only",
+    )
+
+    # Flags of the subcommands whose experiments go through the
+    # experiment runner: how many worker processes to fan independent
+    # runs over, and whether/where to use the on-disk result cache.
+    runner_flags = argparse.ArgumentParser(add_help=False, parents=[common_flags])
     group = runner_flags.add_argument_group("execution")
     group.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -296,28 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="result cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    group.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="profile the whole subcommand under cProfile and write a "
-        "pstats dump to PATH (inspect with 'python -m pstats PATH')",
-    )
-    obs_group = runner_flags.add_argument_group("observability")
-    obs_group.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event/span trace to PATH (JSONL) plus a "
-        "Chrome trace-viewer file; forces --jobs 1 and disables the cache",
-    )
-    obs_group.add_argument(
-        "-v", "--verbose", action="count", default=0,
-        help="log progress to stderr (-v info, -vv debug)",
-    )
-    obs_group.add_argument(
-        "-q", "--quiet", action="store_true",
-        help="suppress warnings; errors only",
-    )
+    # The other subcommands never reach the runner; main() configures
+    # it from these defaults all the same.
+    parser.set_defaults(jobs=1, no_cache=False, cache_dir=None)
 
     p = sub.add_parser(
-        "fig1", parents=[runner_flags], help="idle cluster memory over a week")
+        "fig1", parents=[common_flags], help="idle cluster memory over a week")
     p.add_argument("--seed", type=int, default=1995)
     p.set_defaults(func=_cmd_fig1)
 
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_breakdown)
 
     p = sub.add_parser(
-        "latency", parents=[runner_flags], help="§4.4 per-page latency microbenchmark")
+        "latency", parents=[common_flags], help="§4.4 per-page latency microbenchmark")
     p.add_argument("--transfers", type=int, default=200)
     p.set_defaults(func=_cmd_latency)
 
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_netcmp)
 
     p = sub.add_parser(
-        "hetero", parents=[runner_flags], help="§5 heterogeneous-network hierarchy")
+        "hetero", parents=[common_flags], help="§5 heterogeneous-network hierarchy")
     p.set_defaults(func=_cmd_hetero)
 
     p = sub.add_parser(
@@ -403,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adaptive)
 
     p = sub.add_parser(
-        "remotedisk", parents=[runner_flags], help="remote memory vs remote disk paging")
+        "remotedisk", parents=[common_flags], help="remote memory vs remote disk paging")
     p.set_defaults(func=_cmd_remotedisk)
 
     p = sub.add_parser(
-        "multiclient", parents=[runner_flags], help="N clients sharing the cluster")
+        "multiclient", parents=[common_flags], help="N clients sharing the cluster")
     p.add_argument(
         "--clients", type=int, default=2, metavar="N",
         help="number of concurrent paging clients (default 2)")
@@ -424,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_multiclient)
 
     p = sub.add_parser(
-        "fleet", parents=[runner_flags],
+        "fleet", parents=[common_flags],
         help="fleet-scale campaign: N clients x M donors, cluster "
         "throughput / Jain fairness / p99 pagein latency")
     p.add_argument(
@@ -452,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(
-        "diurnal", parents=[runner_flags], help="Figure 1 trace driving donor capacity")
+        "diurnal", parents=[common_flags], help="Figure 1 trace driving donor capacity")
     p.set_defaults(func=_cmd_diurnal)
 
     p = sub.add_parser(
@@ -567,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_monitor)
 
     p = sub.add_parser(
-        "profile", parents=[runner_flags], help="device-independent workload fault profiles")
+        "profile", parents=[common_flags], help="device-independent workload fault profiles")
     p.add_argument("--apps", nargs="+", choices=_APPS, default=None)
     p.set_defaults(func=_cmd_profile)
 
@@ -580,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace-summary",
-        parents=[runner_flags],
+        parents=[common_flags],
         help="digest a recorded trace: span latencies, phases, slowest requests",
     )
     p.add_argument("trace_file", metavar="TRACE.jsonl")

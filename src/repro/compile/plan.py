@@ -4,7 +4,9 @@
 consults before executing a workload: it decides whether the run may
 use the batch-replay fast path, compiles the fault schedule, and emits
 ``compile.*`` trace events so every decision is visible in a
-``--trace`` recording.
+``--trace`` recording.  :func:`plan_fleet` makes the same decision for
+each client of a co-simulated fleet; every client compiles its own
+schedule.
 
 Compilation is on unless the machine was built with
 ``compile_schedules=False``, and it is **strictly conservative** — it
@@ -71,34 +73,9 @@ def _bypass_reason(machine, pager, workload) -> Optional[str]:
     return None
 
 
-def _schedule_key(machine, workload, token) -> dict:
-    """Everything that determines the compiled schedule's content."""
-    spec = machine.spec
-    return {
-        "workload": list(token),
-        "replacement": machine.replacement.name,
-        "user_frames": spec.user_frames,
-        "page_size": spec.page_size,
-        "cpu_speed": spec.cpu_speed,
-        "max_cpu_chunk": machine.max_cpu_chunk,
-        "free_batch": machine.free_batch,
-    }
-
-
-def _freeze_key(key: dict) -> tuple:
-    """A hashable token for schedule dedupe within one fleet."""
-    return tuple(sorted((name, repr(value)) for name, value in key.items()))
-
-
-def _plan_machine_schedule(machine, pager, workload, shared=None):
+def _plan_machine_schedule(machine, pager, workload):
     """Schedule decision for one (machine, pager, workload) triple: the
-    schedule to replay, or None to interpret.  Emits
-    bypass/fleet-shared/compiled.  ``shared`` is an optional
-    in-memory pool (see :func:`plan_fleet`): identical clients compile
-    once and replay the same schedule object — safe because replay
-    *copies* the captured policy state into each machine
-    (``Machine._restore_schedule_state``) and never mutates the
-    schedule."""
+    schedule to replay, or None to interpret.  Emits bypass/compiled."""
     tracer = machine.sim.tracer
 
     if not machine.compile_schedules:
@@ -109,20 +86,6 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
     if reason is not None:
         tracer.emit("compile", "bypass", reason=reason)
         return None
-
-    token = None
-    if shared is not None and hasattr(workload, "schedule_token"):
-        token = workload.schedule_token()
-    frozen = None
-    if token is not None:
-        frozen = _freeze_key(_schedule_key(machine, workload, token))
-        schedule = shared.get(frozen)
-        if schedule is not None:
-            tracer.emit(
-                "compile", "fleet-shared",
-                faults=schedule.n_faults, refs=schedule.n_refs,
-            )
-            return schedule
 
     started = perf_counter()
     schedule = compile_trace(
@@ -139,8 +102,6 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
         faults=schedule.n_faults, refs=schedule.n_refs,
         ops=schedule.n_ops, wall_ms=round(wall_ms, 3),
     )
-    if frozen is not None:
-        shared[frozen] = schedule
     return schedule
 
 
@@ -188,22 +149,20 @@ def plan_fleet(clients, network=None):
     Returns a list of per-client :class:`FaultSchedule`\\ s (``None`` =
     interpret that client), aligned with ``clients``.  A fleet-level
     coupling (see :func:`fleet_bypass_reason`) pins *every* client to
-    interpreted execution; otherwise each client is planned
-    independently, and identical clients share one compiled schedule
-    via an in-memory pool (compile once, replay N times)."""
+    interpreted execution; otherwise each client is planned and compiled
+    independently, exactly as :func:`plan_run` plans a lone machine."""
     clients = list(clients)
-    schedules: list = [None] * len(clients)
     if not clients:
-        return schedules
-    tracer = clients[0][0].sim.tracer
+        return []
     reason = fleet_bypass_reason(clients, network)
     if reason is not None:
+        tracer = clients[0][0].sim.tracer
         tracer.emit("compile", "bypass", reason=reason, scope="fleet")
-        return schedules
-    shared: dict = {}
-    for i, (machine, pager, workload) in enumerate(clients):
-        schedules[i] = _plan_machine_schedule(machine, pager, workload, shared=shared)
-    return schedules
+        return [None] * len(clients)
+    return [
+        _plan_machine_schedule(machine, pager, workload)
+        for machine, pager, workload in clients
+    ]
 
 
 def plan_run(cluster, workload) -> ReplayPlan:

@@ -22,7 +22,7 @@ from typing import Dict
 from ..analysis.extrapolate import all_memory_bound, decompose
 from ..analysis.paper_data import FFT_24MB_BREAKDOWN
 from ..analysis.report import format_table
-from ..runner import RunSpec, default_runner
+from ..runner import ExperimentRunner, RunSpec, default_runner
 
 __all__ = [
     "run_breakdown",
@@ -90,8 +90,9 @@ def render_breakdown(results: Dict[str, object]) -> str:
 def run_observed_breakdown(size_mb: float = 24.0) -> Dict[str, object]:
     """Trace one FFT/parity-logging run and *measure* the §4.3 terms.
 
-    Runs inline (a tracer cannot cross worker processes or ride the
-    result cache) with a tracer attached, then aggregates span phases:
+    Runs through a serial, uncached :class:`ExperimentRunner` (a tracer
+    cannot cross worker processes or ride the result cache) with a
+    tracer installed, then aggregates span phases:
 
     * observed pptime — every ``*.protocol`` segment: CPU the client
       spends running the protocol stack, the term the paper models as
@@ -102,28 +103,23 @@ def run_observed_breakdown(size_mb: float = 24.0) -> Dict[str, object]:
       partition the workload's paging stall time exactly.
 
     Reuses a process-wide tracer (the ``--trace`` flag) when one is
-    installed so this run's spans also land in the trace file.
+    installed so this run's spans also land in the trace file;
+    otherwise installs a private one for the duration of the run.
     """
-    from ..core.builder import build_cluster
-    from ..obs.trace import Tracer, current_tracer
-    from ..runner.execute import build_meta
-    from ..runner.registry import make_workload
-    from .harness import PAPER_CONFIGS
+    from ..obs.trace import Tracer, current_tracer, install_tracer, uninstall_tracer
 
-    kwargs = dict(PAPER_CONFIGS["parity-logging"])
-    cluster = build_cluster(**kwargs)
-    tracer = current_tracer()
-    if tracer is None:
-        tracer = Tracer()
-    cluster.sim.set_tracer(tracer)
+    installed = current_tracer()
+    tracer = installed if installed is not None else install_tracer(Tracer())
     first_span = len(tracer.spans)
     tracer.begin_run(f"breakdown-observed/fft-{size_mb:g}mb")
-    workload = make_workload("fft", {"size_mb": size_mb})
-    report = cluster.run(workload)
-    report.meta = build_meta(
-        "parity-logging", kwargs.get("seed", 0), {"size_mb": size_mb}, workload.name
+    spec = RunSpec.make(
+        "fft", "parity-logging", workload_kwargs={"size_mb": size_mb}
     )
-    report.meta["metrics"] = cluster.metrics.snapshot()
+    try:
+        report = ExperimentRunner().run_one(spec).report
+    finally:
+        if installed is None:
+            uninstall_tracer()
 
     phase_totals: Dict[str, float] = {}
     machine_ptime = 0.0

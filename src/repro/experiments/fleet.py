@@ -11,10 +11,9 @@ that affordable:
   port pairs hold analytically, so an uncontended page transfer costs
   one kernel event instead of a five-step resource walk;
 * **multi-machine compiled replay** (``compile.plan_fleet`` +
-  ``Machine.run_plan``): each client's reliability-blind fault schedule
-  compiles once (identical clients share the object) and replays as
-  interleaved merged-chunk segments, reconciling only at the shared
-  donors and fabric ports;
+  ``Machine.run_plan``): each client compiles its own reliability-blind
+  fault schedule and replays it as interleaved merged-chunk segments,
+  reconciling only at the shared donors and fabric ports;
 * per-client **server instances** on shared donor workstations — "a
   new instance of the server" per client (§3.2), "clients never share
   their swap spaces" (§6) — which is exactly the isolation that makes

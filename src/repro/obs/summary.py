@@ -60,7 +60,7 @@ class TraceSummary:
         self.spans: List[Dict[str, Any]] = []
         #: Fault-ish events (see _FAULT_COMPONENTS), in timestamp order.
         self.fault_events: List[Dict[str, Any]] = []
-        #: ``compile.*`` planner events (bypass/compiled/fleet-shared),
+        #: ``compile.*`` planner events (bypass/compiled),
         #: in order — which tier served each run, and why compilation
         #: was skipped when it was.
         self.compile_events: List[Dict[str, Any]] = []

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..vm.machine import CompletionReport
 from .spec import RunSpec
@@ -99,10 +99,10 @@ class ResultCache:
     def _path(self, spec: RunSpec) -> Path:
         return self.dir / f"{fingerprint(spec)}.json"
 
-    def _load(self, path: Path) -> Optional[Tuple[CompletionReport, Dict[str, Any]]]:
-        """Read one entry file; None on any miss or corruption."""
+    def get(self, spec: RunSpec) -> Optional[Tuple[CompletionReport, Dict[str, Any]]]:
+        """Load a cached (report, extras) pair, or None on miss."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self._path(spec), "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
             if entry.get("format") != _FORMAT:
                 raise ValueError("stale cache format")
@@ -110,41 +110,10 @@ class ResultCache:
             extras = entry.get("extras", {})
         except (OSError, ValueError, TypeError, KeyError):
             # Missing, corrupt, or from an incompatible layout: recompute.
-            return None
-        return report, extras
-
-    def get(self, spec: RunSpec) -> Optional[Tuple[CompletionReport, Dict[str, Any]]]:
-        """Load a cached (report, extras) pair, or None on miss."""
-        loaded = self._load(self._path(spec))
-        if loaded is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return loaded
-
-    def get_many(
-        self, specs: Sequence[RunSpec]
-    ) -> List[Optional[Tuple[CompletionReport, Dict[str, Any]]]]:
-        """Batched :meth:`get`: one lookup pass for a whole campaign.
-
-        A cold matrix of N cells would otherwise pay N failed ``open``
-        probes; one directory listing classifies every miss up front,
-        and only files that actually exist are opened and parsed.
-        """
-        try:
-            present = {entry.name for entry in os.scandir(self.dir)}
-        except OSError:
-            present = set()
-        out: List[Optional[Tuple[CompletionReport, Dict[str, Any]]]] = []
-        for spec in specs:
-            path = self._path(spec)
-            loaded = self._load(path) if path.name in present else None
-            if loaded is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            out.append(loaded)
-        return out
+            return None
+        self.hits += 1
+        return report, extras
 
     def put(
         self, spec: RunSpec, report: CompletionReport, extras: Dict[str, Any]

@@ -1,35 +1,23 @@
 """Worker-side execution of a :class:`RunSpec`.
 
-:func:`execute_spec` is the function the process pool ships specs to:
+:func:`execute_spec` is the function the process pool maps over specs:
 it rebuilds the cluster, applies hooks and machine attributes, runs the
 workload, stamps provenance metadata on the report, and applies the
-spec's extractors.  It is also the serial fast path — the runner calls
-it inline when ``jobs == 1``, so serial and parallel execution share
-one code path by construction.
-
-:func:`execute_chunk` wraps it for batched submission: the runner ships
-a handful of chunks per campaign instead of one pool task per spec, so
-a 500-cell matrix pays a few pickle/dispatch round-trips rather than
-500.  :func:`prime_shared_tables` warms the read-only codec tables —
-called in the parent before the pool forks, the tables land in
-copy-on-write pages every worker shares; it doubles as the pool
-initializer so spawn-based platforms build them once per worker
-instead of once per spec.
+spec's extractors.  The runner also calls it inline when ``jobs == 1``
+(or one spec is pending), so serial and parallel execution share one
+code path by construction.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from .registry import make_hook, make_workload, run_extractors
 from .spec import RunResult, RunSpec
 
 __all__ = [
     "execute_spec",
-    "execute_chunk",
-    "prime_shared_tables",
     "resolve_build_kwargs",
-    "build_meta",
 ]
 
 #: Values stored verbatim in report.meta; everything else is repr()d.
@@ -57,18 +45,15 @@ def resolve_build_kwargs(spec: RunSpec) -> Dict[str, Any]:
     return kwargs
 
 
-def build_meta(
+def _build_meta(
     policy: str,
     seed: int,
     overrides: Dict[str, Any],
     workload_name: str,
 ) -> Dict[str, Any]:
-    """Provenance dict stamped on every CompletionReport.
-
-    Stamped by :func:`execute_spec` — the one path serial, parallel and
-    cached runs share — and by the traced §4.3 breakdown run, which must
-    stay inline because a tracer cannot cross worker processes.
-    """
+    """Provenance dict :func:`execute_spec` stamps on every
+    CompletionReport, so serial, parallel and cached runs carry the
+    same one."""
     return {
         "workload": workload_name,
         "policy": policy,
@@ -96,7 +81,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     workload = make_workload(spec.workload, dict(spec.workload_kwargs))
     report = cluster.run(workload)
     health = report.meta.get("health")
-    report.meta = build_meta(
+    report.meta = _build_meta(
         spec.policy, kwargs.get("seed", 0), dict(spec.overrides), workload.name
     )
     # Full cluster telemetry rides with the report, so cached results and
@@ -109,18 +94,3 @@ def execute_spec(spec: RunSpec) -> RunResult:
     extras = run_extractors(spec.extract, cluster, report, state)
     return RunResult(spec=spec, report=report, extras=extras)
 
-
-def execute_chunk(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Run a batch of specs in order (the chunked pool entry point)."""
-    return [execute_spec(spec) for spec in specs]
-
-
-def prime_shared_tables() -> None:
-    """Build the read-only codec tables ahead of worker fan-out.
-
-    Safe to call repeatedly; each table is built at most once per
-    process.
-    """
-    from ..core.policies.gf256 import prime_tables
-
-    prime_tables()

@@ -2,25 +2,15 @@
 
 Every figure in the paper is a matrix of independent, deterministic
 simulation runs, so regenerating the evaluation is embarrassingly
-parallel: :class:`ExperimentRunner` fans :class:`RunSpec`s out over a
-``ProcessPoolExecutor`` and reassembles results *in spec order* —
-completion order never leaks into output, so ``--jobs 4`` produces
-byte-identical tables to ``--jobs 1``.  A content-addressed result
-cache (see :mod:`repro.runner.cache`) short-circuits cells that have
-already been computed for identical code and configuration.
-
-Fan-out overhead is kept off the critical path for campaign-scale
-matrices (hundreds of cells across many ``run()`` calls):
-
-* the worker pool is created lazily on first parallel ``run()`` and
-  **reused** across calls — one fork-and-import cost per campaign, not
-  per figure;
-* the read-only GF(256) codec tables are primed in the parent before
-  the pool forks, so workers share them copy-on-write;
-* specs are submitted in **chunks** (a few per worker), so dispatch and
-  result pickling scale with worker count, not cell count;
-* cache probes go through one batched directory listing instead of a
-  ``stat`` miss per cold cell.
+parallel.  :meth:`ExperimentRunner.run` does three things, once each:
+probe the content-addressed result cache (see :mod:`repro.runner.cache`)
+for every spec, run the misses — inline, or over a
+``ProcessPoolExecutor`` opened for this call and drained with
+``pool.map`` — and store the fresh results.  Results come back *in spec
+order*, so completion order never leaks into output and ``--jobs 4``
+produces byte-identical tables to ``--jobs 1``.  A pool forked per call
+sees the registries as they stand at that call, exactly as inline
+execution does.
 
 The module also owns the process-wide default runner the CLI
 configures (``--jobs`` / ``--no-cache`` / ``--cache-dir``); library
@@ -36,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..log import get_logger
 from ..vm.machine import CompletionReport
 from .cache import ResultCache
-from .execute import execute_chunk, execute_spec, prime_shared_tables
+from .execute import execute_spec
 from .spec import RunResult, RunSpec
 
 log = get_logger(__name__)
@@ -79,111 +69,39 @@ class ExperimentRunner:
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if use_cache else None
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
 
-    # ------------------------------------------------------------------ pool
-    #: Submission granularity: chunks per worker.  Small enough that one
-    #: slow cell cannot idle the pool for long, large enough that a
-    #: 500-cell campaign ships ~tens of pickled tasks, not 500.
-    _CHUNKS_PER_WORKER = 4
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The persistent worker pool, created on first parallel run.
-
-        The pool outlives individual :meth:`run` calls: a campaign that
-        regenerates every figure pays one pool spin-up (fork + import
-        of the simulation packages) instead of one per call.  Codec
-        tables are primed *before* the fork so workers share them
-        read-only; ``prime_shared_tables`` also rides along as the pool
-        initializer for spawn-based start methods.
-        """
-        if self._pool is None:
-            prime_shared_tables()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=prime_shared_tables
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent pool (idempotent; pool respawns on use)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-exit ordering
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    @staticmethod
-    def _chunked(pending: Sequence[int], n_chunks: int) -> List[List[int]]:
-        """Split indices into ``n_chunks`` contiguous, near-equal batches."""
-        size, extra = divmod(len(pending), n_chunks)
-        chunks, start = [], 0
-        for rank in range(n_chunks):
-            stop = start + size + (1 if rank < extra else 0)
-            chunks.append(list(pending[start:stop]))
-            start = stop
-        return [chunk for chunk in chunks if chunk]
-
-    # ------------------------------------------------------------------ core
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Run every spec; results ordered by spec, not by completion."""
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
-
-        if self.cache is not None:
-            cached_entries = self.cache.get_many(specs)
-        else:
-            cached_entries = [None] * len(specs)
-
         pending: List[int] = []
-        for index, (spec, cached) in enumerate(zip(specs, cached_entries)):
-            if cached is not None:
-                log.debug("cache hit: %s", spec.label or spec.workload)
-                report, extras = cached
-                results[index] = RunResult(
-                    spec=spec, report=report, extras=extras, cached=True
-                )
-            else:
+        for index, spec in enumerate(specs):
+            cached = self.cache.get(spec) if self.cache is not None else None
+            if cached is None:
                 pending.append(index)
+                continue
+            log.debug("cache hit: %s", spec.label or spec.workload)
+            report, extras = cached
+            results[index] = RunResult(
+                spec=spec, report=report, extras=extras, cached=True
+            )
 
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                chunks = self._chunked(
-                    pending, min(len(pending), workers * self._CHUNKS_PER_WORKER)
-                )
-                log.info(
-                    "running %d spec(s) over %d worker process(es) "
-                    "in %d chunk(s)",
-                    len(pending), workers, len(chunks),
-                )
-                pool = self._ensure_pool()
-                try:
-                    futures = [
-                        pool.submit(execute_chunk, [specs[i] for i in chunk])
-                        for chunk in chunks
-                    ]
-                    for chunk, future in zip(chunks, futures):
-                        for index, result in zip(chunk, future.result()):
-                            results[index] = result
-                except BaseException:
-                    # A broken pool (worker killed, unpicklable payload)
-                    # must not poison later runs: drop it and let the
-                    # next call fork a fresh one.
-                    self.close()
-                    raise
-            else:
-                log.debug("running %d spec(s) inline", len(pending))
-                for index in pending:
-                    results[index] = execute_spec(specs[index])
+        todo = [specs[index] for index in pending]
+        if self.jobs > 1 and len(todo) > 1:
+            workers = min(self.jobs, len(todo))
+            log.info(
+                "running %d spec(s) over %d worker process(es)", len(todo), workers
+            )
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                fresh = list(pool.map(execute_spec, todo))
+        else:
+            log.debug("running %d spec(s) inline", len(todo))
+            fresh = [execute_spec(spec) for spec in todo]
+
+        for index, result in zip(pending, fresh):
+            results[index] = result
             if self.cache is not None:
-                for index in pending:
-                    result = results[index]
-                    self.cache.put(result.spec, result.report, result.extras)
-
+                self.cache.put(result.spec, result.report, result.extras)
         return results  # type: ignore[return-value]
 
     def run_one(self, spec: RunSpec) -> RunResult:

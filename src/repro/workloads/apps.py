@@ -46,7 +46,6 @@ class Mvec(Workload):
 
     name = "mvec"
     CPU_SECONDS_PER_PAGE_TOUCH = 1.2e-3
-    _schedule_token_fields = ("n",)
 
     def __init__(self, n: int = 2100, page_size: int = 8192):
         if n < 1:
@@ -80,7 +79,6 @@ class Gauss(Workload):
 
     name = "gauss"
     CPU_SECONDS_PER_PAGE_TOUCH = 0.8e-3
-    _schedule_token_fields = ("n", "passes")
 
     def __init__(self, n: int = 1700, passes: int = 4, page_size: int = 8192):
         if n < 1 or passes < 1:
@@ -114,7 +112,6 @@ class Qsort(Workload):
 
     name = "qsort"
     CPU_SECONDS_PER_PAGE_TOUCH = 1.7e-3
-    _schedule_token_fields = ("records",)
     LEAF_PAGES = 64
     LEAF_PASSES = 3
 
@@ -166,7 +163,6 @@ class Fft(Workload):
 
     name = "fft"
     CPU_SECONDS_PER_PAGE_TOUCH = 7.8e-3
-    _schedule_token_fields = ("elements", "passes")
 
     #: Twiddle-factor table as a fraction of one data array (a partial
     #: table re-read each pass; brings the paper's "700 K element" FFT to
@@ -223,7 +219,6 @@ class ImageFilter(Workload):
 
     name = "filter"
     CPU_SECONDS_PER_PAGE_TOUCH = 7.5e-3
-    _schedule_token_fields = ("image_bytes",)
 
     def __init__(self, image_bytes: int = 12 * (1 << 20), page_size: int = 8192):
         if image_bytes < 1:
@@ -264,7 +259,6 @@ class KernelBuild(Workload):
     name = "cc"
     CPU_SECONDS_PER_PAGE_TOUCH = 1.55e-3
     COMPILE_PASSES = 2
-    _schedule_token_fields = ("units", "object_pages", "scratch_pages", "compiler_pages")
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ Two modelling decisions (see DESIGN.md §2):
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from ..config import PAGE_SIZE
 
@@ -127,30 +127,9 @@ class Workload:
     #: compiler only engages for deterministic workloads.
     deterministic = True
 
-    #: Attribute names that, with the class name and page size, pin the
-    #: reference stream exactly — the workload part of the key under
-    #: which identical fleet clients share one compiled schedule.
-    #: ``None`` means "not content-addressable": each client compiles
-    #: its own schedule.
-    _schedule_token_fields: Optional[Tuple[str, ...]] = None
-
     def __init__(self, page_size: int = PAGE_SIZE):
         self.page_size = page_size
         self.layout = Layout(page_size)
-
-    def schedule_token(self) -> Optional[Tuple]:
-        """Identity of the reference stream for schedule sharing.
-
-        Returns a tuple (class name, page size, the
-        class's ``_schedule_token_fields`` values) or None when the
-        stream has no stable content address.
-        """
-        fields = self._schedule_token_fields
-        if fields is None:
-            return None
-        return (type(self).__name__, self.page_size) + tuple(
-            getattr(self, name) for name in fields
-        )
 
     @property
     def footprint_pages(self) -> int:

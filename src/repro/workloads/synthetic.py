@@ -14,7 +14,6 @@ class SequentialScan(Workload):
     """``passes`` zigzag sweeps over one region (pure streaming)."""
 
     name = "sequential-scan"
-    _schedule_token_fields = ("n_pages", "passes", "write", "cpu_per_page")
 
     def __init__(
         self,
@@ -45,7 +44,6 @@ class UniformRandom(Workload):
     """``n_refs`` uniformly random page references."""
 
     name = "uniform-random"
-    _schedule_token_fields = ("n_pages", "n_refs", "write_fraction", "cpu_per_page", "seed")
 
     def __init__(
         self,
@@ -78,7 +76,6 @@ class ZipfAccess(Workload):
     """Zipf-distributed references: a few pages dominate."""
 
     name = "zipf"
-    _schedule_token_fields = ("n_pages", "n_refs", "skew", "write_fraction", "cpu_per_page", "seed")
 
     def __init__(
         self,
@@ -125,7 +122,6 @@ class HotCold(Workload):
     working-set shape for replacement-policy ablations."""
 
     name = "hot-cold"
-    _schedule_token_fields = ("hot_pages", "cold_pages", "n_refs", "hot_fraction", "cpu_per_page", "seed")
 
     def __init__(
         self,

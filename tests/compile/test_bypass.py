@@ -97,15 +97,14 @@ def test_cluster_override_and_process_default(tracer):
 
 
 def test_recorded_workload_compiled_matches_interpreted(tracer, tmp_path):
-    """A recorded trace has no identity token, yet still compiles, and
-    its compiled report equals the interpreted one."""
+    """A recorded trace compiles, and its compiled report equals the
+    interpreted one."""
     from repro.workloads import Gauss
     from repro.workloads.trace_io import RecordedWorkload, save_trace
 
     path = tmp_path / "wl.trace"
     save_trace(Gauss(n=300, passes=1), path)
     workload = RecordedWorkload(path)
-    assert workload.schedule_token() is None
 
     compiled = dataclasses.asdict(_cluster().run(workload))
     interpreted = dataclasses.asdict(

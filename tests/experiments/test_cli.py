@@ -39,6 +39,17 @@ def test_missing_subcommand_errors():
         build_parser().parse_args([])
 
 
+def test_runner_flags_only_on_runner_subcommands():
+    parser = build_parser()
+    # `repro fleet` never goes through the experiment runner, so it
+    # takes no runner flags; `repro fig2` does.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fleet", "--jobs", "4"])
+    assert parser.parse_args(["fig2", "--jobs", "2"]).jobs == 2
+    # Observability flags stay on every subcommand.
+    assert parser.parse_args(["fleet", "-v", "--trace", "t.jsonl"]).verbose == 1
+
+
 def test_bad_app_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig2", "--apps", "doom"])

@@ -60,11 +60,9 @@ from repro.workloads import Gauss, Mvec, Qsort
 
 @pytest.fixture(scope="module")
 def runner(tmp_path_factory):
-    shared = ExperimentRunner(
+    return ExperimentRunner(
         jobs=2, use_cache=True, cache_dir=tmp_path_factory.mktemp("paper-cells")
     )
-    yield shared
-    shared.close()
 
 
 #: Inline experiments (no ``runner=``) that take a second or more.

@@ -87,14 +87,13 @@ def test_summary_of_telemetry_run_shows_bypass_and_health(tmp_path):
 
 
 def test_summary_of_vectorized_decision_trail():
-    # A hand-assembled trace of planner events (a schedule shared by
-    # identical fleet clients, then two bypasses) summarizes with
-    # per-reason breakdowns.
+    # A hand-assembled trace of planner events (one compiled schedule,
+    # then two bypasses) summarizes with per-reason breakdowns.
     records = [
         {"type": "header", "schema": 1, "events": 3, "spans": 0},
         {
             "type": "event", "ts": 0.0, "component": "compile",
-            "event": "fleet-shared", "attrs": {},
+            "event": "compiled", "attrs": {},
         },
     ] + [
         {
@@ -105,7 +104,7 @@ def test_summary_of_vectorized_decision_trail():
     summary = summarize(records)
     text = render_summary(summary)
     assert [e["event"] for e in summary.compile_events] == [
-        "fleet-shared", "bypass", "bypass",
+        "compiled", "bypass", "bypass",
     ]
     assert "bypass: 2  (telemetry=2)" in text
-    assert "fleet-shared: 1" in text
+    assert "compiled: 1" in text

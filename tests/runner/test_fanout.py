@@ -1,11 +1,12 @@
-"""Runner fan-out mechanics: persistent pool, chunking, batched cache.
+"""Runner fan-out: one pool per ``run()``, results in spec order.
 
-The campaign-scale overhead cuts must be invisible in results: chunked
-submission over a reused pool produces byte-identical reports to serial
-inline execution, batched cache probes agree with individual ``get``
-calls, and the cache key covers every axis a fleet cell can vary on —
-network model, client count, codec backend — so fleet and single-client
-cells can never collide.
+Parallel execution must be invisible in results: a pool fanning specs
+out produces byte-identical reports to serial inline execution, a
+failing spec leaves the runner usable, a workload registered between
+two ``run()`` calls resolves in the workers exactly as it does inline,
+and the cache key covers every axis a fleet cell can vary on — network
+model, client count, codec backend — so fleet and single-client cells
+can never collide.
 """
 
 import dataclasses
@@ -13,92 +14,66 @@ import dataclasses
 import pytest
 
 from repro.config import SwitchedNetworkSpec
-from repro.runner import ExperimentRunner, ResultCache, RunSpec, fingerprint
-from repro.runner.execute import execute_spec
-from repro.runner.runner import ExperimentRunner as _Runner
+from repro.runner import ExperimentRunner, RunSpec, fingerprint
+from repro.runner import runner as runner_module
+from repro.runner.registry import WORKLOADS, register_workload
+from repro.workloads import Mvec
 
-SPEC = RunSpec.make("gauss", "disk", workload_kwargs={"n": 700})
-
-#: More cells than workers * chunks-per-worker exercises multi-spec chunks.
 MANY = [
     RunSpec.make("mvec", "no-reliability", workload_kwargs={"n": 600 + 20 * i})
     for i in range(9)
 ]
 
 
+def _reports(results):
+    return [dataclasses.asdict(r.report) for r in results]
+
+
 # ------------------------------------------------------------------ pool
-def test_pool_persists_across_run_calls():
-    runner = ExperimentRunner(jobs=2)
-    assert runner._pool is None
-    runner.run(MANY[:3])
-    pool = runner._pool
-    assert pool is not None
-    runner.run(MANY[3:6])
-    assert runner._pool is pool
-    runner.close()
-    assert runner._pool is None
+def test_serial_runner_never_forks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jobs=1 runner opened a process pool")
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", refuse)
+    results = ExperimentRunner(jobs=1).run(MANY[:2])
+    assert all(r.report.etime > 0 for r in results)
 
 
-def test_serial_runner_never_forks():
-    runner = ExperimentRunner(jobs=1)
-    runner.run(MANY[:2])
-    assert runner._pool is None
-
-
-def test_chunked_parallel_matches_serial_byte_identically():
+def test_parallel_matches_serial_byte_identically():
     serial = ExperimentRunner(jobs=1).run(MANY)
-    runner = ExperimentRunner(jobs=2)
-    try:
-        parallel = runner.run(MANY)
-    finally:
-        runner.close()
-    assert [dataclasses.asdict(r.report) for r in serial] == [
-        dataclasses.asdict(r.report) for r in parallel
-    ]
+    parallel = ExperimentRunner(jobs=2).run(MANY)
+    assert _reports(serial) == _reports(parallel)
     assert [r.extras for r in serial] == [r.extras for r in parallel]
 
 
-def test_chunking_partitions_in_order():
-    chunked = _Runner._chunked
-    assert chunked(list(range(9)), 4) == [[0, 1, 2], [3, 4], [5, 6], [7, 8]]
-    assert chunked([5], 4) == [[5]]
-    flat = [i for chunk in chunked(list(range(17)), 8) for i in chunk]
-    assert flat == list(range(17))
-
-
 def test_broken_pool_is_discarded():
+    """A failing spec raises out of ``run()``; its pool goes with the
+    call, and the next ``run()`` succeeds."""
     runner = ExperimentRunner(jobs=2)
     with pytest.raises(Exception):
         runner.run(
             [RunSpec.make("no-such-workload", "disk"), MANY[0], MANY[1]]
         )
-    assert runner._pool is None
-    # The next run forks a fresh pool and succeeds.
     results = runner.run(MANY[:3])
-    runner.close()
     assert all(r.report.etime > 0 for r in results)
 
 
-# ----------------------------------------------------------------- cache
-def test_get_many_matches_individual_gets(tmp_path):
-    cache = ResultCache(tmp_path)
-    result = execute_spec(SPEC)
-    cache.put(SPEC, result.report, result.extras)
-    other = RunSpec.make("gauss", "disk", workload_kwargs={"n": 701})
-
-    batched = ResultCache(tmp_path)
-    hit, miss = batched.get_many([SPEC, other])
-    assert miss is None
-    report, extras = hit
-    assert dataclasses.asdict(report) == dataclasses.asdict(result.report)
-    assert extras == result.extras
-    assert (batched.hits, batched.misses) == (1, 1)
-
-
-def test_get_many_on_missing_directory_is_all_misses(tmp_path):
-    cache = ResultCache(tmp_path / "never-created")
-    assert cache.get_many([SPEC, SPEC]) == [None, None]
-    assert cache.misses == 2
+def test_workload_registered_after_a_parallel_run_resolves():
+    """Workers see the registries as they stand at each ``run()``."""
+    name = "mvec-registered-late"
+    runner = ExperimentRunner(jobs=2)
+    runner.run(MANY[:2])
+    register_workload(name, lambda n: Mvec(n=n))
+    try:
+        late = [
+            RunSpec.make(name, "no-reliability", workload_kwargs={"n": n})
+            for n in (600, 640)
+        ]
+        parallel = runner.run(late)
+        serial = ExperimentRunner(jobs=1).run(late)
+    finally:
+        WORKLOADS.pop(name, None)
+    assert _reports(parallel) == _reports(serial)
 
 
 # ------------------------------------------------------- key disjointness
@@ -125,4 +100,3 @@ def test_network_model_and_client_count_key_disjointly():
     ]
     prints = [fingerprint(spec) for spec in [base] + variants]
     assert len(set(prints)) == len(prints)
-
