@@ -30,6 +30,17 @@ __all__ = ["main", "build_parser"]
 log = get_logger(__name__)
 
 
+def _client_count(text: str) -> int:
+    """argparse type for ``--clients``: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _cmd_fig1(args) -> str:
     return exp.render_fig1(exp.run_fig1(seed=args.seed))
 
@@ -106,13 +117,12 @@ def _cmd_multiclient(args) -> str:
         "mvec": Mvec, "gauss": Gauss, "qsort": Qsort,
         "fft": Fft, "filter": ImageFilter, "cc": KernelBuild,
     }
-    chosen = [factories[name] for name in args.apps]
-    # --clients N repeats the workload list round-robin up to N.
-    while len(chosen) < args.clients:
-        chosen.append(chosen[len(chosen) % len(args.apps)])
+    # --clients N takes the workload list round-robin, N clients exactly.
+    apps = args.apps
+    chosen = [factories[apps[i % len(apps)]] for i in range(args.clients)]
     return exp.render_multi_client(
         exp.run_multi_client(
-            workload_factories=tuple(chosen[: max(args.clients, len(chosen))]),
+            workload_factories=tuple(chosen),
             n_donors=args.donors,
             network=args.network,
         )
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "multiclient", parents=[common_flags], help="N clients sharing the cluster")
     p.add_argument(
-        "--clients", type=int, default=2, metavar="N",
+        "--clients", type=_client_count, default=2, metavar="N",
         help="number of concurrent paging clients (default 2)")
     p.add_argument(
         "--donors", type=int, default=2, metavar="M",
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet-scale campaign: N clients x M donors, cluster "
         "throughput / Jain fairness / p99 pagein latency")
     p.add_argument(
-        "--clients", type=int, default=16, metavar="N",
+        "--clients", type=_client_count, default=16, metavar="N",
         help="number of concurrent paging clients (default 16)")
     p.add_argument(
         "--donors", type=int, default=4, metavar="M",

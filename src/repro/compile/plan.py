@@ -15,9 +15,9 @@ stream:
 
 * the workload declares itself deterministic (every ``trace()`` call
   yields the same stream);
-* no speculative fetch can perturb residency: both the machine-level
-  read-ahead (``Machine.prefetch``) and the PR 4 adaptive prefetcher
-  bypass to interpreted execution, with a ``compile.bypass`` event.
+* no speculative fetch can perturb residency: a run with the pipeline's
+  adaptive prefetcher bypasses to interpreted execution, with a
+  ``compile.bypass`` event.
 
 Anything that only acts *pager-side* — write-behind windows, chaos
 fault injection, RPC retries, background load — cannot change which
@@ -62,8 +62,6 @@ def _bypass_reason(machine, pager, workload) -> Optional[str]:
         return "telemetry"
     if not getattr(workload, "deterministic", False):
         return "nondeterministic-workload"
-    if getattr(machine, "prefetch", 0):
-        return "machine-prefetch"
     pipeline = getattr(pager, "pipeline", None)
     if pipeline is not None and getattr(pipeline, "prefetcher", None) is not None:
         return "pipeline-prefetch"

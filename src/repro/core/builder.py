@@ -19,8 +19,6 @@ from ..config import (
     DEC_ALPHA_3000_300,
     DEC_RZ55,
     TCP_IP_1996,
-    DiskSpec,
-    EthernetSpec,
     MachineSpec,
     ProtocolSpec,
     SwitchedNetworkSpec,
@@ -30,7 +28,7 @@ from ..disk.model import Disk
 from ..errors import ConfigurationError
 from ..net.base import Network
 from ..net.ethernet import EthernetCsmaCd
-from ..net.protocol import ProtocolStack, RetrySpec
+from ..net.protocol import ProtocolStack
 from ..net.switched import SwitchedNetwork
 from ..net.token_ring import TokenRing, TokenRingSpec
 from ..obs.health import HealthMonitor, HealthSpec
@@ -151,9 +149,7 @@ def build_cluster(
     seed: int = 0,
     machine_spec: MachineSpec = DEC_ALPHA_3000_300,
     server_spec: Optional[MachineSpec] = None,
-    disk_spec: DiskSpec = DEC_RZ55,
     protocol_spec: ProtocolSpec = TCP_IP_1996,
-    ethernet_spec: Optional[EthernetSpec] = None,
     switched_spec: Optional[SwitchedNetworkSpec] = None,
     token_ring_spec: Optional["TokenRingSpec"] = None,
     overflow_fraction: float = 0.0,
@@ -161,11 +157,11 @@ def build_cluster(
     content_mode: bool = False,
     replacement: Optional[ReplacementPolicy] = None,
     init_time: float = 0.21,
+    pageout_window: int = 16,
+    free_batch: int = 16,
     network_threshold: Optional[float] = None,
-    retry_spec: Optional["RetrySpec"] = None,
     pipeline_window: int = 1,
     pipeline_prefetch: int = 0,
-    pipeline_backlog: int = 0,
     compile_schedules: bool = True,
     analytic_ethernet: bool = True,
     analytic_switched: bool = True,
@@ -173,8 +169,6 @@ def build_cluster(
     telemetry_capacity: int = 512,
     health_warn_load: float = 0.70,
     health_crit_load: float = 0.90,
-    health_warn_delay_ms: float = 20.0,
-    health_crit_delay_ms: float = 100.0,
 ) -> Cluster:
     """Assemble a paper-style testbed.
 
@@ -195,10 +189,14 @@ def build_cluster(
     ``switched_spec`` replaces the shared Ethernet with a full-duplex
     switched network (the Fig 4 "faster network" configurations).
 
-    ``pipeline_window``/``pipeline_prefetch``/``pipeline_backlog``
-    configure the PR 4 pipelined datapath (write-behind pageout queue,
-    adaptive prefetcher); the defaults (1, 0, 0) keep the paper's
-    synchronous datapath bit-identically.
+    ``pageout_window`` and ``free_batch`` are the machine's
+    asynchronous write-back depth and paging-daemon reclaim batch (see
+    :class:`~repro.vm.machine.Machine`); ``repro ablate`` sweeps both.
+
+    ``pipeline_window``/``pipeline_prefetch`` configure the pipelined
+    datapath (write-behind pageout queue, adaptive prefetcher); the
+    defaults (1, 0) keep the paper's synchronous datapath
+    bit-identically.
 
     The engine keywords pick the fast tiers, all on by default; results
     are byte-identical either way, so False is an A/B switch.  They are
@@ -216,12 +214,13 @@ def build_cluster(
     idle-memory pool, fault/retry rates and a per-fault latency
     histogram into ``telemetry_capacity``-sample ring buffers, plus a
     :class:`~repro.obs.health.HealthMonitor` with the given
-    WARN_LOAD/WARN_DELAY-style thresholds.  Sampling pins the run to
-    interpreted execution (``compile.bypass reason=telemetry``) so the
-    series are identical across ``--jobs`` and cache replay.  All
-    telemetry knobs are plain scalars on purpose: they travel through
-    ``RunSpec`` overrides and participate in the result-cache
-    fingerprint.
+    ``health_warn_load``/``health_crit_load`` utilisation thresholds
+    (the delay thresholds are :class:`~repro.obs.health.HealthSpec`'s).
+    Sampling pins the run to interpreted execution (``compile.bypass
+    reason=telemetry``) so the series are identical across ``--jobs``
+    and cache replay.  All telemetry knobs are plain scalars on purpose:
+    they travel through ``RunSpec`` overrides and participate in the
+    result-cache fingerprint.
     """
     ec_shape = parse_ec_policy(policy)
     if policy not in POLICY_NAMES and ec_shape is None:
@@ -256,17 +255,13 @@ def build_cluster(
     elif token_ring_spec is not None:
         network = TokenRing(sim, spec=token_ring_spec)
     else:
-        network = EthernetCsmaCd(
-            sim, spec=ethernet_spec, rngs=rngs, analytic=analytic_ethernet
-        )
+        network = EthernetCsmaCd(sim, rngs=rngs, analytic=analytic_ethernet)
     stack = ProtocolStack(network, spec=protocol_spec)
-    if retry_spec is not None:
-        stack.retry = retry_spec
     registry = ServerRegistry()
 
     client_host = Workstation(sim, "client", machine_spec)
     network.attach(client_host.name)
-    local_disk = Disk(sim, disk_spec)
+    local_disk = Disk(sim, DEC_RZ55)
     disk_backend = PartitionBackend(local_disk, machine_spec.page_size, _SWAP_SLOTS)
 
     spec = server_spec or machine_spec
@@ -342,9 +337,7 @@ def build_cluster(
                 k=ec_shape[0], m=ec_shape[1], page_size=page_size,
             )
         pipeline_spec = PipelineSpec(
-            window=pipeline_window,
-            prefetch=pipeline_prefetch,
-            backlog=pipeline_backlog,
+            window=pipeline_window, prefetch=pipeline_prefetch
         )
         pager = RemoteMemoryPager(
             policy_obj,
@@ -361,6 +354,8 @@ def build_cluster(
         replacement=replacement,
         content_mode=content_mode,
         init_time=init_time,
+        pageout_window=pageout_window,
+        free_batch=free_batch,
         compile_schedules=compile_schedules,
         name="client",
     )
@@ -464,12 +459,7 @@ def build_cluster(
         metrics.attach("telemetry.pager.pagein", pagein_hist)
         health = HealthMonitor(
             telemetry,
-            HealthSpec(
-                warn_load=health_warn_load,
-                crit_load=health_crit_load,
-                warn_delay_ms=health_warn_delay_ms,
-                crit_delay_ms=health_crit_delay_ms,
-            ),
+            HealthSpec(warn_load=health_warn_load, crit_load=health_crit_load),
         )
         health.bind(sim)
 

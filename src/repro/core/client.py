@@ -54,6 +54,8 @@ class RemoteMemoryPager(Pager):
     """The paper's RMP: policy-driven remote paging with disk fallback."""
 
     name = "rmp"
+    #: Transfers averaged by the §5 network-load threshold check.
+    THRESHOLD_WINDOW = 16
 
     def __init__(
         self,
@@ -61,7 +63,6 @@ class RemoteMemoryPager(Pager):
         disk_backend: Optional[PartitionBackend] = None,
         registry: Optional[ServerRegistry] = None,
         network_threshold: Optional[float] = None,
-        threshold_window: int = 16,
         pipeline: Optional[PipelineSpec] = None,
     ):
         super().__init__()
@@ -70,7 +71,6 @@ class RemoteMemoryPager(Pager):
         self.disk_backend = disk_backend
         self.registry = registry
         self.network_threshold = network_threshold
-        self.threshold_window = threshold_window
         #: The pipelined datapath (PR 4), or None for the paper's
         #: synchronous path.  A disabled spec (window=1, prefetch=0)
         #: also means None: the synchronous code below runs untouched,
@@ -689,13 +689,13 @@ class RemoteMemoryPager(Pager):
         if self.network_threshold is None:
             return
         self._recent_transfer_times.append(elapsed)
-        if len(self._recent_transfer_times) > self.threshold_window:
+        if len(self._recent_transfer_times) > self.THRESHOLD_WINDOW:
             self._recent_transfer_times.pop(0)
 
     def _network_degraded(self) -> bool:
         """§5: route pageouts to disk when the network is congested.
 
-        After ``2 * threshold_window`` consecutive disk-routed pageouts the
+        After ``2 * THRESHOLD_WINDOW`` consecutive disk-routed pageouts the
         measurement window is cleared, forcing a fresh probe of the
         network — so the pager returns to remote memory once congestion
         clears instead of sticking to the disk forever.
@@ -703,12 +703,12 @@ class RemoteMemoryPager(Pager):
         if self.network_threshold is None or self.disk_backend is None:
             return False
         window = self._recent_transfer_times
-        if len(window) < self.threshold_window:
+        if len(window) < self.THRESHOLD_WINDOW:
             return False
         degraded = sum(window) / len(window) > self.network_threshold
         if degraded:
             self._disk_routed_streak += 1
-            if self._disk_routed_streak >= 2 * self.threshold_window:
+            if self._disk_routed_streak >= 2 * self.THRESHOLD_WINDOW:
                 self._recent_transfer_times.clear()
                 self._disk_routed_streak = 0
         else:

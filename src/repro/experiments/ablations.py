@@ -30,7 +30,6 @@ __all__ = [
     "run_replacement_ablation",
     "run_pageout_window_ablation",
     "run_free_batch_ablation",
-    "run_prefetch_ablation",
     "render_ablation",
 ]
 
@@ -69,7 +68,7 @@ def run_pageout_window_ablation(
         RunSpec.make(
             workload,
             policy,
-            machine_attrs={"pageout_window": window},
+            overrides={"pageout_window": window},
             label=f"{workload}/window={window}",
         )
         for window in windows
@@ -92,7 +91,7 @@ def run_free_batch_ablation(
         RunSpec.make(
             workload,
             policy,
-            machine_attrs={"free_batch": batch},
+            overrides={"free_batch": batch},
             label=f"{workload}/batch={batch}",
         )
         for batch in batches
@@ -118,30 +117,3 @@ def render_ablation(results: Dict, title: str, key_label: str) -> str:
         ]
         rows.append(row)
     return format_table([key_label] + metrics, rows, title=title)
-
-
-def run_prefetch_ablation(
-    depths=(0, 2, 8), policy: str = "no-reliability", runner=None
-) -> Dict[int, Dict[str, float]]:
-    """Sequential read-ahead depth vs completion time (streaming scan)."""
-    depths = list(depths)
-    specs = [
-        RunSpec.make(
-            "sequential-scan",
-            policy,
-            workload_kwargs={
-                "n_pages": 3000, "passes": 3, "write": True, "cpu_per_page": 1e-3,
-            },
-            machine_attrs={"prefetch": depth},
-            label=f"scan/prefetch={depth}",
-        )
-        for depth in depths
-    ]
-    results: Dict[int, Dict[str, float]] = {}
-    for depth, result in zip(depths, (runner or default_runner()).run(specs)):
-        results[depth] = {
-            "etime": result.report.etime,
-            "demand_faults": result.report.faults,
-            "prefetched": result.report.counters.get("prefetched", 0),
-        }
-    return results

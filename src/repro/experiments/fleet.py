@@ -32,12 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.report import format_table
 from ..cluster.workstation import Workstation
-from ..config import (
-    DEC_ALPHA_3000_300,
-    EthernetSpec,
-    MachineSpec,
-    SwitchedNetworkSpec,
-)
+from ..config import DEC_ALPHA_3000_300, MachineSpec, SwitchedNetworkSpec
 from ..core.client import RemoteMemoryPager
 from ..core.policies.none import NoReliability
 from ..core.server import MemoryServer
@@ -89,11 +84,8 @@ def build_fleet(
     seed: int = 0,
     network: str = "switched",
     switched_spec: Optional[SwitchedNetworkSpec] = None,
-    ethernet_spec: Optional[EthernetSpec] = None,
     machine_spec: MachineSpec = DEC_ALPHA_3000_300,
     telemetry_interval: float = 0.0,
-    telemetry_capacity: int = 512,
-    init_time: float = 0.21,
     stagger: float = _DEFAULT_STAGGER,
     analytic: bool = True,
     compile_schedules: bool = True,
@@ -106,7 +98,8 @@ def build_fleet(
     contention studies; pins interpreted fleet execution).  Each client
     gets its own :class:`MemoryServer` instances on every shared donor —
     separate grants, fully isolated swap spaces — and its own machine,
-    started ``stagger`` seconds apart.
+    whose startup is the paper's 0.21 s ``inittime`` plus ``stagger``
+    seconds per client index.
 
     ``telemetry_interval`` > 0 attaches one :class:`TelemetrySampler`
     shared by the whole fleet: every client's pagein latency pools into
@@ -128,10 +121,7 @@ def build_fleet(
             sim, spec=switched_spec or SwitchedNetworkSpec(), analytic=analytic
         )
     else:
-        fabric = EthernetCsmaCd(
-            sim, spec=ethernet_spec, rngs=RngRegistry(seed=seed),
-            analytic=analytic,
-        )
+        fabric = EthernetCsmaCd(sim, rngs=RngRegistry(seed=seed), analytic=analytic)
     stack = ProtocolStack(fabric)
 
     # Size donor hosts to hold every client's grant plus slack.
@@ -169,7 +159,7 @@ def build_fleet(
                 sim,
                 machine_spec,
                 pager,
-                init_time=init_time + stagger * c,
+                init_time=0.21 + stagger * c,
                 compile_schedules=compile_schedules,
                 name=client_name,
             )
@@ -185,9 +175,7 @@ def build_fleet(
 
     telemetry: Optional[TelemetrySampler] = None
     if telemetry_interval > 0.0:
-        telemetry = TelemetrySampler(
-            telemetry_interval, capacity=telemetry_capacity
-        )
+        telemetry = TelemetrySampler(telemetry_interval)
         sim.set_sampler(telemetry)
         telemetry.add_probe("util.wire", fabric.stats.busy_seconds, mode="rate")
         latency = fabric.stats.message_latency

@@ -1,7 +1,7 @@
 """Leap-style adaptive prefetcher (Maruf & Chowdhury, ATC'20).
 
 Turns predicted remote pageins into local hits.  The detector keeps the
-last ``history`` fault-to-fault deltas and elects a **majority trend**
+last 8 fault-to-fault deltas and elects a **majority trend**
 with one Boyer-Moore pass — sequential scans elect +1, strided sweeps
 elect their stride, and random access elects nothing (so a uniform
 random workload prefetches ~nothing: no false wins, the property the
@@ -41,6 +41,10 @@ log = get_logger(__name__)
 
 #: Faults observed before the detector is allowed to elect a trend.
 _WARMUP = 4
+#: Fault-delta history the trend detector votes over.
+_HISTORY = 8
+#: Bounded prefetch-cache capacity, in pages.
+_CACHE_PAGES = 64
 
 
 def majority_trend(deltas) -> Optional[int]:
@@ -72,7 +76,7 @@ class AdaptivePrefetcher:
         self.sim = pager.sim
         self.spec = spec
         self.counters = counters
-        self._deltas = deque(maxlen=spec.history)
+        self._deltas = deque(maxlen=_HISTORY)
         self._last_fault: Optional[int] = None
         self._cache: "OrderedDict[int, Optional[bytes]]" = OrderedDict()
         self._inflight: Dict[int, object] = {}  # page_id -> fetch Process
@@ -141,7 +145,7 @@ class AdaptivePrefetcher:
                 return
             self._cache[page_id] = contents
             self.counters.add("prefetch_completed")
-            while len(self._cache) > self.spec.cache_pages:
+            while len(self._cache) > _CACHE_PAGES:
                 self._cache.popitem(last=False)
                 self.counters.add("prefetch_evicted")
             span.end("ok")

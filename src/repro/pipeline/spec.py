@@ -32,25 +32,12 @@ class PipelineSpec:
     window: int = 1
     #: Prefetch depth per detected trend; 0 = prefetcher off.
     prefetch: int = 0
-    #: Queued-but-untransmitted pageouts before producers block
-    #: (defaults to ``8 * window`` when zero).
-    backlog: int = 0
-    #: Bounded prefetch-cache capacity, in pages.
-    cache_pages: int = 64
-    #: Fault-delta history the trend detector votes over.
-    history: int = 8
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window must be >= 1: {self.window}")
         if self.prefetch < 0:
             raise ValueError(f"prefetch must be >= 0: {self.prefetch}")
-        if self.backlog < 0:
-            raise ValueError(f"backlog must be >= 0: {self.backlog}")
-        if self.cache_pages < 1:
-            raise ValueError(f"cache_pages must be >= 1: {self.cache_pages}")
-        if self.history < 2:
-            raise ValueError(f"history must be >= 2: {self.history}")
 
     @property
     def enabled(self) -> bool:
@@ -64,4 +51,5 @@ class PipelineSpec:
 
     @property
     def max_backlog(self) -> int:
-        return self.backlog if self.backlog else 8 * self.window
+        """Queued-but-untransmitted pageouts before producers block."""
+        return 8 * self.window

@@ -1,9 +1,9 @@
 """Worker-side execution of a :class:`RunSpec`.
 
 :func:`execute_spec` is the function the process pool maps over specs:
-it rebuilds the cluster, applies hooks and machine attributes, runs the
-workload, stamps provenance metadata on the report, and applies the
-spec's extractors.  The runner also calls it inline when ``jobs == 1``
+it rebuilds the cluster, applies the spec's hook, runs the workload,
+stamps provenance metadata on the report, and applies the spec's
+extractors.  The runner also calls it inline when ``jobs == 1``
 (or one spec is pending), so serial and parallel execution share one
 code path by construction.
 """
@@ -71,10 +71,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
     kwargs = resolve_build_kwargs(spec)
     cluster = build_cluster(**kwargs)
-    for name, value in spec.machine_attrs:
-        if not hasattr(cluster.machine, name):
-            raise AttributeError(f"machine has no attribute {name!r}")
-        setattr(cluster.machine, name, value)
     state: Optional[Any] = None
     if spec.hook is not None:
         state = make_hook(spec.hook, dict(spec.hook_kwargs))(cluster)

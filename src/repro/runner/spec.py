@@ -39,8 +39,6 @@ class RunSpec:
       name (or any :func:`build_cluster` policy).
     * ``overrides`` — extra :func:`build_cluster` keyword arguments; a
       string ``replacement`` is resolved via ``make_replacement``.
-    * ``machine_attrs`` — attributes set on ``cluster.machine`` after
-      assembly (``pageout_window``, ``free_batch``, ``prefetch``, …).
     * ``hook`` / ``hook_kwargs`` — a registered cluster hook, applied
       between assembly and the workload run.
     * ``extract`` — registered extractors producing the run's ``extras``
@@ -54,7 +52,6 @@ class RunSpec:
     policy: str
     workload_kwargs: Tuple[Tuple[str, Any], ...] = ()
     overrides: Tuple[Tuple[str, Any], ...] = ()
-    machine_attrs: Tuple[Tuple[str, Any], ...] = ()
     seed: int = 0
     hook: Optional[str] = None
     hook_kwargs: Tuple[Tuple[str, Any], ...] = ()
@@ -69,7 +66,6 @@ class RunSpec:
         *,
         workload_kwargs: Optional[Mapping[str, Any]] = None,
         overrides: Optional[Mapping[str, Any]] = None,
-        machine_attrs: Optional[Mapping[str, Any]] = None,
         seed: int = 0,
         hook: Optional[str] = None,
         hook_kwargs: Optional[Mapping[str, Any]] = None,
@@ -82,7 +78,6 @@ class RunSpec:
             policy=policy,
             workload_kwargs=_freeze(workload_kwargs),
             overrides=_freeze(overrides),
-            machine_attrs=_freeze(machine_attrs),
             seed=seed,
             hook=hook,
             hook_kwargs=_freeze(hook_kwargs),
@@ -102,7 +97,6 @@ class RunSpec:
                 self.policy,
                 self.workload_kwargs,
                 self.overrides,
-                self.machine_attrs,
                 self.seed,
                 self.hook,
                 self.hook_kwargs,
@@ -117,7 +111,6 @@ class RunSpec:
             "policy": self.policy,
             "workload_kwargs": dict(self.workload_kwargs),
             "overrides": {k: repr(v) for k, v in self.overrides},
-            "machine_attrs": dict(self.machine_attrs),
             "seed": self.seed,
             "hook": self.hook,
             "hook_kwargs": dict(self.hook_kwargs),

@@ -111,13 +111,6 @@ class Machine:
         many frames at once (OSF/1's free-page target).  Batching is what
         lets consecutive dirty writebacks land adjacently in the disk
         queue and stream at media rate instead of paying a rotation each.
-    prefetch:
-        Sequential read-ahead depth (0 = off, the default).  When the
-        fault stream shows a run of consecutive pages, the next
-        ``prefetch`` backing-store pages are fetched asynchronously so a
-        streaming workload overlaps pagein latency with compute.  A fault
-        on a page whose prefetch is still in flight waits for it rather
-        than fetching twice.
     compile_schedules:
         Trace compilation (see ``repro.compile``): True (default) takes
         the batch-replay path where eligible, False forces interpreted
@@ -135,7 +128,6 @@ class Machine:
         max_cpu_chunk: float = 0.25,
         pageout_window: int = 16,
         free_batch: int = 16,
-        prefetch: int = 0,
         compile_schedules: bool = True,
         name: str = "client",
     ):
@@ -143,8 +135,6 @@ class Machine:
             raise ValueError("init_time must be >= 0 and max_cpu_chunk > 0")
         if pageout_window < 1 or free_batch < 1:
             raise ValueError("pageout_window and free_batch must be >= 1")
-        if prefetch < 0:
-            raise ValueError("prefetch must be >= 0")
         self.sim = sim
         self.spec = spec
         self.pager = pager
@@ -158,7 +148,6 @@ class Machine:
         self.counters = Counter()
         self.pageout_window = pageout_window
         self.free_batch = free_batch
-        self.prefetch = prefetch
         #: Consulted by the compile planner at Cluster.run time.
         self.compile_schedules = compile_schedules
         self._utime = 0.0
@@ -167,10 +156,6 @@ class Machine:
         self._inflight_by_page: dict = {}
         self._inflight_tokens: dict = {}
         self._window_waiters: list = []
-        self._prefetching: dict = {}
-        self._last_fault_page: Optional[int] = None
-        self._sequential_run = 0
-        self._seq_dir = 0
 
     # ------------------------------------------------------------ interface
     def run(self, trace: Iterable[Ref], name: str = "workload") -> Process:
@@ -232,11 +217,11 @@ class Machine:
 
         # Resident-hit touches are buffered and applied as one batch
         # before every simulation yield (and before every eviction
-        # decision), so nothing that runs while this process is parked —
-        # read-ahead inserts, concurrent machines — can observe or
-        # interleave with a half-applied touch sequence.  The net policy
-        # state is exactly that of per-reference touching; this is the
-        # same batch-step API the trace compiler replays off-line.
+        # decision), so nothing that runs while this process is parked
+        # (a probe, a concurrent machine) sees a half-applied touch
+        # sequence.  The net policy state is exactly that of
+        # per-reference touching; this is the same batch-step API the
+        # trace compiler replays off-line.
         touches: list = []
         touch_append = touches.append
 
@@ -272,9 +257,8 @@ class Machine:
             )
             # A non-resident entry is always clean, so a write only needs
             # the dirty bit here; _service_fault already bumped the version.
-            if not pte.resident:
-                pte.resident = True
-                policy.insert(page_id)
+            pte.resident = True
+            policy.insert(page_id)
             pte.referenced = True
             if is_write:
                 pte.dirty = True
@@ -431,14 +415,7 @@ class Machine:
             span.phase("writeback_wait")
             yield inflight
 
-        prefetching = self._prefetching.get(page_id)
-        if prefetching is not None:
-            # A read-ahead already has this page on the way; its arrival
-            # (not this fault) makes the page resident.
-            span.phase("pagein")
-            yield prefetching
-            self.counters.add("prefetch_hits")
-        elif needs_pagein:
+        if needs_pagein:
             span.phase("pagein")
             contents = yield from self.pager.pagein(page_id)
             self.counters.add("pageins")
@@ -449,8 +426,6 @@ class Machine:
             self.counters.add("zero_fills")
         span.end("ok")
 
-        if self.prefetch:
-            self._note_fault_for_prefetch(page_id, self.spec.user_frames)
         if is_write:
             self.versioner.bump(page_id)
         # Per-fault service latency for the telemetry histogram; the
@@ -494,56 +469,6 @@ class Machine:
                 del self._inflight_by_page[page_id]
             if self._window_waiters:
                 self._window_waiters.pop(0).succeed()
-
-    # ------------------------------------------------------- read-ahead
-    def _note_fault_for_prefetch(self, page_id: int, user_frames: int) -> None:
-        """Detect sequential fault runs (either direction) and launch
-        asynchronous read-ahead of the next ``prefetch`` pages."""
-        if self._last_fault_page is not None:
-            step = page_id - self._last_fault_page
-        else:
-            step = 0
-        if step in (1, -1) and step == self._seq_dir:
-            self._sequential_run += 1
-        elif step in (1, -1):
-            self._seq_dir = step
-            self._sequential_run = 1
-        else:
-            self._sequential_run = 0
-        self._last_fault_page = page_id
-        if self._sequential_run < 2:
-            return
-        direction = self._seq_dir
-        for offset in range(1, self.prefetch + 1):
-            target = page_id + direction * offset
-            pte = self.page_table.get(target)
-            if pte is None or pte.resident or not pte.on_backing_store:
-                continue
-            if target in self._prefetching or target in self._inflight_by_page:
-                continue
-            if len(self.replacement) + len(self._prefetching) >= user_frames:
-                break  # no frame headroom: read-ahead would thrash
-            self._prefetching[target] = self.sim.process(
-                self._prefetch_one(target), name=f"prefetch:{target}"
-            )
-
-    def _prefetch_one(self, page_id: int):
-        try:
-            contents = yield from self.pager.pagein(page_id)
-            self.counters.add("pageins")
-            self.counters.add("prefetched")
-            if self.content_mode:
-                self._verify(page_id, contents)
-            pte = self.page_table.entry(page_id)
-            if not pte.resident and len(self.replacement) < self.spec.user_frames:
-                pte.resident = True
-                pte.dirty = False
-                pte.referenced = False
-                self.replacement.insert(page_id)
-            # else: no room by arrival time — drop the copy; a real fault
-            # will fetch it again (pte.on_backing_store is still set).
-        finally:
-            del self._prefetching[page_id]
 
     def _verify(self, page_id: int, contents: Optional[bytes]) -> None:
         expected = self.versioner.contents(page_id)

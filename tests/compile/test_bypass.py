@@ -60,14 +60,6 @@ def test_eligible_run_emits_compiled_event_and_replay_span(tracer):
     assert len(replay_spans) == 1 and replay_spans[0].kind == "replay"
 
 
-def test_machine_prefetch_bypasses_with_trace_event(tracer):
-    cluster = _cluster()
-    cluster.machine.prefetch = 4
-    cluster.run(_workload())
-    assert ("bypass", {"reason": "machine-prefetch"}) in _compile_events(tracer)
-    assert not [s for s in tracer.spans if s.component == "compile"]
-
-
 def test_pipeline_prefetcher_bypasses_with_trace_event(tracer):
     cluster = _cluster(pipeline_window=4, pipeline_prefetch=4)
     cluster.run(_workload())

@@ -139,8 +139,8 @@ def test_chaos_campaign_clean_and_identical():
                     seed=3,
                     n_servers=4,
                     server_capacity_pages=600,
+                    compile_schedules=compile_on,
                 ),
-                machine_attrs={"compile_schedules": compile_on},
                 hook="chaos",
                 hook_kwargs=plan.as_kwargs(),
                 extract=("resilience",),
@@ -149,8 +149,10 @@ def test_chaos_campaign_clean_and_identical():
             for policy in ("parity-logging", "mirroring")
         ]
         results = ExperimentRunner(jobs=1, use_cache=False).run(specs)
-        # report.meta carries provenance + the metrics snapshot but not
-        # machine_attrs, so the two arms must serialise byte-identically.
+        # report.meta records the overrides, compile_schedules included;
+        # everything else must serialise byte-identically across arms.
+        for r in results:
+            assert r.report.meta.pop("overrides")["compile_schedules"] is compile_on
         return [
             json.dumps(
                 {

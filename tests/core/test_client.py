@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_cluster
+from repro.core import RemoteMemoryPager, build_cluster
 from repro.errors import ServerCrashed, SwapSpaceExhausted
 from repro.vm import page_bytes
 
@@ -120,7 +120,7 @@ def test_network_threshold_routes_to_disk():
         server_capacity_pages=512,
         network_threshold=0.001,  # absurdly low: everything looks congested
     )
-    window = cluster.pager.threshold_window
+    window = RemoteMemoryPager.THRESHOLD_WINDOW
     for page_id in range(window + 8):
         pageout(cluster, page_id)
     assert cluster.pager.counters["disk_fallback_pageouts"] >= 8
@@ -128,7 +128,7 @@ def test_network_threshold_routes_to_disk():
 
 def test_network_threshold_reprobes_after_streak():
     cluster = cluster_for(server_capacity_pages=512, network_threshold=0.001)
-    window = cluster.pager.threshold_window
+    window = RemoteMemoryPager.THRESHOLD_WINDOW
     for page_id in range(window + 2 * window + 4):
         pageout(cluster, page_id)
     # After 2*window disk-routed pageouts the window clears and the
@@ -197,7 +197,6 @@ class _AlwaysCrashingScrub:
 
 
 def test_scrub_crash_repeating_after_recovery_escapes():
-    from repro.core.client import RemoteMemoryPager
     from repro.sim import Simulator
     from repro.vm.page import page_checksum
 

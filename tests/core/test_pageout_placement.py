@@ -9,7 +9,7 @@ the local disk, count it, and serve it back on pagein.
 
 import pytest
 
-from repro.core import build_cluster
+from repro.core import RemoteMemoryPager, build_cluster
 from repro.net.protocol import RetrySpec
 from repro.vm import page_bytes
 
@@ -66,7 +66,7 @@ def test_network_degraded_routes_to_disk(datapath):
         server_capacity_pages=512,
         network_threshold=0.001,  # absurdly low: every transfer looks congested
     )
-    window = cluster.pager.threshold_window
+    window = RemoteMemoryPager.THRESHOLD_WINDOW
     page_out(cluster, range(window + 8))
     pager = cluster.pager
     # The first ``window`` transfers fill the measurement window; every

@@ -107,3 +107,29 @@ def test_fleet_offers_only_buildable_workloads():
     assert workload.choices
     for choice in workload.choices:
         assert make_workload(choice, {}).name
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--clients", "1"], ["Gauss"]),
+        (["--clients", "3"], ["Gauss", "Qsort", "Gauss"]),
+        (["--clients", "2", "--apps", "mvec", "fft", "cc"], ["Mvec", "Fft"]),
+    ],
+)
+def test_multiclient_runs_exactly_n_clients(monkeypatch, argv, expected):
+    import repro.experiments as exp
+
+    seen = []
+    monkeypatch.setattr(
+        exp, "run_multi_client",
+        lambda workload_factories, **kwargs: seen.extend(workload_factories),
+    )
+    monkeypatch.setattr(exp, "render_multi_client", lambda results: "")
+    assert main(["multiclient", *argv]) == 0
+    assert [factory.__name__ for factory in seen] == expected
+
+
+def test_multiclient_rejects_fewer_than_one_client():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["multiclient", "--clients", "0"])

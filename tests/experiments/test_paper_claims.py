@@ -51,7 +51,6 @@ from repro.experiments import (
     run_server_scaling,
     run_spectrum,
 )
-from repro.experiments.ablations import run_prefetch_ablation
 from repro.experiments.pipelining import modeled_paging_cost
 from repro.runner import ExperimentRunner, RunSpec
 from repro.vm import page_bytes
@@ -305,12 +304,6 @@ def test_free_batch_ablation(runner):
     # Batched eviction lets swap writes stream instead of paying a
     # rotation per page: the DISK baseline depends on it.
     assert results[16]["etime"] < results[1]["etime"]
-
-
-def test_prefetch_ablation(runner):
-    results = run_prefetch_ablation(runner=runner)
-    assert results[8]["etime"] < results[2]["etime"] < results[0]["etime"]
-    assert results[0]["prefetched"] == 0
 
 
 def _crash_one_server(policy, n_pages=96, page_size=8192):

@@ -118,20 +118,22 @@ def test_fifo_order_and_window_batching():
 def test_backlog_blocks_producers():
     sim = Simulator()
     pager = FakePager(sim)
-    queue = make_queue(sim, pager, window=1, backlog=2)
+    queue = make_queue(sim, pager, window=1)
+    backlog = queue.spec.max_backlog
+    assert backlog == 8  # 8 * window
     admitted = []
 
     def producer():
-        for page_id in range(6):
+        for page_id in range(backlog + 4):
             yield from queue.enqueue(page_id, b"x")
             admitted.append((page_id, sim.now))
 
     drive(sim, producer())
-    assert [page_id for page_id, _ in pager.sent] == list(range(6))
+    assert [page_id for page_id, _ in pager.sent] == list(range(backlog + 4))
     assert queue.counters["backlog_stalls"] > 0
-    # The first two fit the backlog instantly; later ones had to wait for
+    # The first ``backlog`` fit instantly; later ones had to wait for
     # the drainer to make room.
-    assert admitted[0][1] == 0.0 and admitted[1][1] == 0.0
+    assert all(at == 0.0 for _, at in admitted[:backlog])
     assert admitted[-1][1] > 0.0
 
 

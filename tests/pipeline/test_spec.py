@@ -25,7 +25,6 @@ def test_prefetch_alone_enables_without_write_behind():
 
 def test_default_backlog_scales_with_window():
     assert PipelineSpec(window=4).max_backlog == 32
-    assert PipelineSpec(window=4, backlog=5).max_backlog == 5
 
 
 @pytest.mark.parametrize(
@@ -34,9 +33,6 @@ def test_default_backlog_scales_with_window():
         dict(window=0),
         dict(window=-1),
         dict(prefetch=-1),
-        dict(backlog=-1),
-        dict(cache_pages=0),
-        dict(history=1),
     ],
 )
 def test_invalid_specs_rejected(kwargs):

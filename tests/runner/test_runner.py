@@ -40,6 +40,33 @@ def test_meta_records_provenance():
     assert meta["seed"] == 3
 
 
+def test_machine_knobs_travel_as_recorded_overrides(monkeypatch):
+    """``pageout_window`` and ``free_batch`` are build keywords: they
+    reach the assembled machine and the report's provenance."""
+    from repro.core import builder
+
+    built = []
+    build_cluster = builder.build_cluster
+
+    def recording_build(**kwargs):
+        built.append(build_cluster(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(builder, "build_cluster", recording_build)
+    result = ExperimentRunner().run_one(
+        RunSpec.make(
+            "gauss",
+            "no-reliability",
+            workload_kwargs={"n": 900},
+            overrides={"pageout_window": 1, "free_batch": 4},
+        )
+    )
+    (cluster,) = built
+    assert (cluster.machine.pageout_window, cluster.machine.free_batch) == (1, 4)
+    overrides = result.report.meta["overrides"]
+    assert overrides["pageout_window"] == 1 and overrides["free_batch"] == 4
+
+
 def test_cache_hit_equals_cold_run(tmp_path):
     cold_runner = ExperimentRunner(use_cache=True, cache_dir=tmp_path)
     cold = cold_runner.run(SPECS)

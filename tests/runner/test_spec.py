@@ -27,7 +27,7 @@ def test_identity_distinguishes_every_fingerprint_field():
         RunSpec.make("gauss", "mirroring"),
         RunSpec.make("gauss", "disk", workload_kwargs={"n": 1000}),
         RunSpec.make("gauss", "disk", overrides={"n_servers": 3}),
-        RunSpec.make("gauss", "disk", machine_attrs={"free_batch": 2}),
+        RunSpec.make("gauss", "disk", overrides={"free_batch": 2}),
         RunSpec.make("gauss", "disk", seed=1),
         RunSpec.make("gauss", "disk", hook="background-load"),
         RunSpec.make("gauss", "disk", extract=("network-stats",)),
