@@ -156,7 +156,6 @@ def build_cluster(
     server_capacity_pages: int = _DEFAULT_SERVER_CAPACITY,
     content_mode: bool = False,
     replacement: Optional[ReplacementPolicy] = None,
-    init_time: float = 0.21,
     pageout_window: int = 16,
     free_batch: int = 16,
     network_threshold: Optional[float] = None,
@@ -353,7 +352,6 @@ def build_cluster(
         pager,
         replacement=replacement,
         content_mode=content_mode,
-        init_time=init_time,
         pageout_window=pageout_window,
         free_batch=free_batch,
         compile_schedules=compile_schedules,

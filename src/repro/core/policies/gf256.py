@@ -16,14 +16,10 @@ that's the only algebra the policies need:
 * ``reconstruct(available)`` — interpolate from any k points to whatever
   points are missing.
 
-Both reduce to XOR-accumulating scalar-multiplied fragments.
-
-A packed-lane numpy kernel does that accumulation: output rows are
-processed in pairs, each input fragment viewed as
-little-endian uint16 byte pairs and gathered once through a 64K-entry
-table whose uint32 values hold ``c*a | c*b<<8`` for both rows'
-coefficients (two bytes × two rows per gathered element),
-XOR-accumulated in the packed domain and unpacked with strided views.
+Both reduce to XOR-accumulating scalar-multiplied fragments, which the
+codec does with the standard library alone: ``bytes.translate`` through
+a 256-byte product table scales a whole fragment by one coefficient,
+and the scaled fragments are XORed as ``int.from_bytes`` integers.
 tests/faults/test_codec_backends.py checks it against a per-byte
 :func:`gf_mul` reference.
 
@@ -41,15 +37,8 @@ the instance's own call sequence, never on process-global cache state).
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as _np
-
-#: The packed-lane kernel relies on little-endian uint16/uint32 views.
-if sys.byteorder != "little":  # pragma: no cover
-    raise ImportError("the GF(256) codec needs a little-endian host")
 
 __all__ = [
     "ReedSolomon",
@@ -91,58 +80,20 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-#: 256x256 GF(256) multiplication table (lazy).
-_NP_MUL = None
-
-
-def _np_mul_table():
-    """The full GF(256) product table, built once per process."""
-    global _NP_MUL
-    if _NP_MUL is None:
-        exp = _np.array(GF_EXP, dtype=_np.uint8)
-        log = _np.array(GF_LOG, dtype=_np.int64)
-        table = exp[log[:, None] + log[None, :]]
-        table[0, :] = 0
-        table[:, 0] = 0
-        _NP_MUL = table
-    return _NP_MUL
+@lru_cache(maxsize=None)
+def _mul_table(c: int) -> bytes:
+    """``bytes.translate`` table that multiplies every byte by ``c``."""
+    if c == 0:
+        return bytes(256)
+    log_c = GF_LOG[c]
+    return bytes([0] + [GF_EXP[log_c + GF_LOG[a]] for a in range(1, 256)])
 
 
 def prime_tables() -> None:
-    """Materialise the lazy codec tables in *this* process.
-
-    The parallel runner calls this in the parent before forking its
-    worker pool: the 64 KB product table then lives in pages every
-    worker shares copy-on-write (the tables are never written after
-    construction), instead of each worker rebuilding it on first use.
-    """
-    _np_mul_table()
-
-
-@lru_cache(maxsize=64)
-def _pair_table(col: tuple):
-    """Packed multiply table for one or two coefficient lanes.
-
-    Index = a little-endian byte pair ``(a, b)`` read as uint16; value =
-    ``c1*a | c1*b << 8`` in the low lane and (for two-lane tables)
-    ``c2*a | c2*b << 8`` in the high lane.  One gather through this
-    table therefore advances *two adjacent bytes* of *every packed
-    output row* at once — the numpy engine's whole trick.
-
-    Keyed by the coefficient values alone, so every matrix sharing a
-    column pair shares the table.  Each uint32 table is 256 KB; the
-    bound keeps the working set a few MB.
-    """
-    mul = _np_mul_table()
-    lanes = []
-    for c in col:
-        row = mul[c].astype(_np.uint16)
-        # [b, a] grid raveled in C order == index (b << 8 | a).
-        lanes.append((row[:, None] << 8) | row[None, :])
-    if len(col) == 1:
-        return _np.ascontiguousarray(lanes[0].ravel())
-    return (lanes[0].ravel().astype(_np.uint32)
-            | (lanes[1].ravel().astype(_np.uint32) << 16))
+    """Build all 256 product tables (64 KB in all) in *this* process,
+    so that the first codec calls do not pay for them."""
+    for c in range(256):
+        _mul_table(c)
 
 
 def _combine_rows(
@@ -153,42 +104,18 @@ def _combine_rows(
 
     ``rows`` is an ``(n_out, n_in)`` coefficient matrix; the result is
     ``n_out`` fragments, each the GF(256) XOR-accumulation of the inputs
-    scaled by its row.  Output rows are processed in packed pairs — one
-    64K-entry gather per input fragment covers two bytes of two output
-    rows at a time.
+    scaled by its row.
     """
     length = len(fragments[0])
-    if length == 0:
-        return [b"" for _ in rows]
-    buf = _np.frombuffer(b"".join(fragments), dtype=_np.uint8)
-    if length % 2:
-        frags = _np.zeros((len(fragments), length + 1), dtype=_np.uint8)
-        frags[:, :length] = buf.reshape(len(fragments), length)
-    else:
-        frags = buf.reshape(len(fragments), length)
-    pairs = frags.view(_np.uint16)
     out: List[bytes] = []
-    for base in range(0, len(rows), 2):
-        chunk = rows[base : base + 2]
-        acc = None
-        for i, index_row in enumerate(pairs):
-            col = tuple(row[i] for row in chunk)
-            if not any(col):
-                continue
-            gathered = _pair_table(col).take(index_row, mode="clip")
-            if acc is None:
-                acc = gathered
-            else:
-                acc ^= gathered
-        if acc is None:
-            out.extend(bytes(length) for _ in chunk)
-        elif len(chunk) == 2:
-            lanes = acc.view(_np.uint16).reshape(-1, 2)
-            for lane in range(2):
-                row_bytes = _np.ascontiguousarray(lanes[:, lane])
-                out.append(row_bytes.view(_np.uint8)[:length].tobytes())
-        else:
-            out.append(acc.view(_np.uint8)[:length].tobytes())
+    for row in rows:
+        acc = 0
+        for fragment, c in zip(fragments, row):
+            if c == 1:
+                acc ^= int.from_bytes(fragment, "little")
+            elif c:
+                acc ^= int.from_bytes(fragment.translate(_mul_table(c)), "little")
+        out.append(acc.to_bytes(length, "little"))
     return out
 
 

@@ -2,16 +2,25 @@
 
 Pins the contract from DESIGN.md §15:
 
-* **codec oracle** (hypothesis): the numpy packed-lane kernel produces
-  the same fragments as a per-byte :func:`gf_mul` reference kept in this
-  file, on the encode, reconstruct, and degraded-read paths, for
-  arbitrary shapes, lengths (odd/even/empty), and survivor subsets.
+* **codec oracle** (hypothesis): the ``bytes.translate`` + integer-XOR
+  codec produces the same fragments as a per-byte :func:`gf_mul`
+  reference kept in this file, on the encode, reconstruct, and
+  degraded-read paths, for arbitrary shapes, lengths (odd/even/empty),
+  and survivor subsets, and for every one of the 256 scalars.
+* **no numpy**: the package imports and runs erasure coding end to end
+  in an interpreter where numpy cannot be imported, and never loads it
+  where it can.
 * **subset counters**: the policy's per-instance reconstruction-subset
   hit/miss counters land in the MetricsRegistry.
 * **fan-out hygiene**: nested protocol batch-framing and the pagein
   preference order that skips crashed/retired servers without paying a
   fetch.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +30,7 @@ from repro.config import MachineSpec
 from repro.core import build_cluster
 from repro.core.policies.gf256 import (
     ReedSolomon,
+    _combine_rows,
     _lagrange_row,
     gf_mul,
     split_page,
@@ -101,6 +111,80 @@ def test_zero_length_fragments():
     rs = ReedSolomon(3, 2)
     assert rs.encode([b""] * 3) == [b"", b""]
     assert rs.data_from({0: b"", 3: b"", 4: b""}) == [b"", b"", b""]
+
+
+@pytest.mark.parametrize("length", [0, 1, 257])
+def test_every_scalar_matches_reference(length):
+    """Each of the 256 coefficients scales a fragment exactly as
+    per-byte :func:`gf_mul` does, 0 and 1 included."""
+    fragment = bytes(i % 256 for i in range(length))
+    rows = [[c] for c in range(256)]
+    expected = [_reference_combine([fragment], row) for row in rows]
+    assert _combine_rows([fragment], rows) == expected
+
+
+# --------------------------------------------------------------------------
+# The package needs no numpy.
+# --------------------------------------------------------------------------
+
+#: Set-up imports perfbench's ``SETUP_CODE`` makes, plus the CLI, then a
+#: reduced-size EC(4,2) content-mode run with a degraded read.
+_NO_NUMPY_SCRIPT = """
+import sys
+{block}
+import repro.cli, repro.compile, repro.experiments.fig2
+import repro.experiments.fleet, repro.experiments.resilience, repro.runner
+from repro.config import MachineSpec
+from repro.core import build_cluster
+from repro.core.policies.gf256 import prime_tables
+from repro.faults import check_page_integrity
+from repro.workloads import SequentialScan
+
+prime_tables()
+spec = MachineSpec(
+    name="test-small",
+    ram_bytes=2 * 1024 * 1024,
+    kernel_resident_bytes=1 * 1024 * 1024,
+    page_size=8192,
+)
+cluster = build_cluster(
+    policy="ec-4-2", machine_spec=spec, n_servers=8, content_mode=True,
+    seed=3, server_capacity_pages=600,
+)
+cluster.run(SequentialScan(n_pages=200, passes=1, write=True))
+cluster.servers[1].crash()
+report = check_page_integrity(cluster)
+assert report.clean, report
+{check}
+print("ok")
+"""
+
+
+@pytest.mark.parametrize(
+    "block, check",
+    [
+        # numpy cannot be imported: any import of it raises ImportError.
+        ('sys.modules["numpy"] = None',
+         'assert sys.modules["numpy"] is None'),
+        # numpy may be importable: the package still never loads it.
+        ("", 'assert "numpy" not in sys.modules, "numpy was imported"'),
+    ],
+    ids=["numpy-blocked", "numpy-unloaded"],
+)
+def test_package_runs_without_numpy(block, check):
+    import repro
+
+    src = Path(repro.__file__).resolve().parents[1]
+    script = _NO_NUMPY_SCRIPT.format(block=block, check=check)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 # --------------------------------------------------------------------------
